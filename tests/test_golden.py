@@ -1,0 +1,98 @@
+"""Byte-identity gate for the command-line streams.
+
+Each entry pins the sha256 digest of the stdout of one ``permutads``
+command: every enumeration kind for n = 1..5, every conversion between the
+four encodings of the n = 5 streams, the n = 5 boundaries in JSON and CSV,
+and ``verify all --max-n 4``.  A conversion reads the n = 5 enumeration
+of its source encoding.  A refactor that keeps these digests keeps
+the byte streams.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from permutads.cli import main
+
+ENCODINGS = {
+    "surjection": "surjections",
+    "shuffle": "shuffles",
+    "tree": "trees",
+    "comb": "combs",
+}
+
+GOLDEN = {
+    "enum surjections --n 1": "cad6e6b6de5e32023fc714e29ae985678ce8a6e3f1a3da2014c5573061bf270a",
+    "enum surjections --n 2": "1f530038d51904c251e582707fd3ed5aed17b440df8874d62fbb7ac2f0ef6d8c",
+    "enum surjections --n 3": "c122751cd6da70fb634353c29e63e7f4055cbd4da5220f91af11d2a8f3d828c9",
+    "enum surjections --n 4": "3b7294cda1f90d113aa12cfb835770b0b369409507465d6c060967f9a0a85a22",
+    "enum surjections --n 5": "ccde38058e1ad871c54fe9a2c4f63a4d3824e3a893692fcac95d2842c11143e3",
+    "enum shuffles --n 1": "751f581b744e8da355d2c91c729b83d354ad7974ab01edea97490a99e0d05a81",
+    "enum shuffles --n 2": "dc853f9b718f035a51157597b495dfb12757a3cb59520d6f3744a35ac6ece853",
+    "enum shuffles --n 3": "87b7cb683db49b42839538b951536c209c61e7023c9be3f058298c30491f118d",
+    "enum shuffles --n 4": "8b7f5e884b742cd7924dea7364dbe64d31eb52e1610e79055c521cf70f2de93b",
+    "enum shuffles --n 5": "b40cd2aeefa7efd689a66d8b9ed9e05f82aeb36b0f880b414c72a548c9c8412d",
+    "enum trees --n 1": "b71d78cc3f2a92d3c8cbd64c9304442895b428dcf4d7ba7099c37b630912ee44",
+    "enum trees --n 2": "f3b4086cc5c8646d04d0005b9247c3ef1d60f980805376e89a469c645c7e2fa6",
+    "enum trees --n 3": "89435f12dd0c0755cba125192fde752b2f14bb50dbd83eee893ff0ef36c03700",
+    "enum trees --n 4": "2389130e0dcf134f00e77f18239c45716b6aa8c3178e9e520a29a17c081778b6",
+    "enum trees --n 5": "1c0e86c0d531a57462b4b8ada7b39163ba7799a9e9900d885059c61ceb168bbf",
+    "enum combs --n 1": "30170b64ae271c69856557626a9e3718c9595a4ddeeddf7a6b3703c60bc9a518",
+    "enum combs --n 2": "de21b2a95b9c4686c0f410b189c28107ede7132b17c5a3ee9b2a42521569cdbc",
+    "enum combs --n 3": "bc0c715ab08111e9cc89e22b58c9c4c9052d1b43f3d0b8982040e94aed29861c",
+    "enum combs --n 4": "8149f935190375d77c7b7909071dbfee0787d3713aed0753a93e268956c5b18d",
+    "enum combs --n 5": "db8cd99e2c27ff2cd36c5f5696d2081d739b4810a1743a4457885d0151a6c156",
+    "enum cells --n 1": "91e79f0528a96a84bbed736ebec529d8d3ecd553fba27468e961451787dada7e",
+    "enum cells --n 2": "7f27a5dcc1dabda8dca417e2bf5e3435beb77d7dbcd47167f5558a71c4204c51",
+    "enum cells --n 3": "3fd3699fbf02ec6e5efc2bdb0e6826015e04401986481621fea7adcf7bdf1f19",
+    "enum cells --n 4": "aaf35561800952d952b99a80cadc9cd386621f28a9f7a1010ae3a6197cba4f15",
+    "enum cells --n 5": "eb904b8365b483065dd300a7f639b110b7e3cc7e35f2553218a9d34776c82596",
+    "convert --from surjection --to surjection": "ccde38058e1ad871c54fe9a2c4f63a4d3824e3a893692fcac95d2842c11143e3",
+    "convert --from surjection --to shuffle": "b40cd2aeefa7efd689a66d8b9ed9e05f82aeb36b0f880b414c72a548c9c8412d",
+    "convert --from surjection --to tree": "1c0e86c0d531a57462b4b8ada7b39163ba7799a9e9900d885059c61ceb168bbf",
+    "convert --from surjection --to comb": "db8cd99e2c27ff2cd36c5f5696d2081d739b4810a1743a4457885d0151a6c156",
+    "convert --from shuffle --to surjection": "ccde38058e1ad871c54fe9a2c4f63a4d3824e3a893692fcac95d2842c11143e3",
+    "convert --from shuffle --to shuffle": "b40cd2aeefa7efd689a66d8b9ed9e05f82aeb36b0f880b414c72a548c9c8412d",
+    "convert --from shuffle --to tree": "1c0e86c0d531a57462b4b8ada7b39163ba7799a9e9900d885059c61ceb168bbf",
+    "convert --from shuffle --to comb": "db8cd99e2c27ff2cd36c5f5696d2081d739b4810a1743a4457885d0151a6c156",
+    "convert --from tree --to surjection": "ccde38058e1ad871c54fe9a2c4f63a4d3824e3a893692fcac95d2842c11143e3",
+    "convert --from tree --to shuffle": "b40cd2aeefa7efd689a66d8b9ed9e05f82aeb36b0f880b414c72a548c9c8412d",
+    "convert --from tree --to tree": "1c0e86c0d531a57462b4b8ada7b39163ba7799a9e9900d885059c61ceb168bbf",
+    "convert --from tree --to comb": "db8cd99e2c27ff2cd36c5f5696d2081d739b4810a1743a4457885d0151a6c156",
+    "convert --from comb --to surjection": "ccde38058e1ad871c54fe9a2c4f63a4d3824e3a893692fcac95d2842c11143e3",
+    "convert --from comb --to shuffle": "b40cd2aeefa7efd689a66d8b9ed9e05f82aeb36b0f880b414c72a548c9c8412d",
+    "convert --from comb --to tree": "1c0e86c0d531a57462b4b8ada7b39163ba7799a9e9900d885059c61ceb168bbf",
+    "convert --from comb --to comb": "db8cd99e2c27ff2cd36c5f5696d2081d739b4810a1743a4457885d0151a6c156",
+    "boundary --n 5 --format json": "52ece29f5d2ad009e31ae87dd7184428616065e518cc45cc6a79026444fbea61",
+    "boundary --n 5 --format csv": "f18bb19dad699d956cbf8cf1d286ca131fca585344509a9e3e5d9d27234dae0f",
+    "verify all --max-n 4": "b0c7c14d8030be613293d04fb59a7997d07596a9cec530a526c33796bc7d9bf6",
+}
+
+
+def stdout_of(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return out.getvalue()
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def golden_output(command: str, tmp_path) -> str:
+    argv = command.split()
+    if argv[0] == "convert":
+        source = tmp_path / "input.jsonl"
+        source.write_text(stdout_of(["enum", ENCODINGS[argv[2]], "--n", "5"]))
+        argv += ["--input", str(source)]
+    return stdout_of(argv)
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_cli_stream_digest(command, tmp_path, monkeypatch):
+    monkeypatch.delenv("PERMUTAD_MAX_N", raising=False)
+    assert digest(golden_output(command, tmp_path)) == GOLDEN[command]
