@@ -121,7 +121,8 @@ def chain_boundary(v: LinComb) -> LinComb:
 
 def double_boundary_vanishes(n: int) -> bool:
     """Check d(d(c)) = 0 on every cell of the permutohedron on n letters."""
-    return all(chain_boundary(boundary_of_cell(t)).is_zero() for t in cells(n))
+    d = {t: boundary_of_cell(t) for t in cells(n)}
+    return all(linear_extend(d.__getitem__, dt).is_zero() for dt in d.values())
 
 
 def homology_ranks(n: int) -> tuple[int, ...]:
@@ -133,6 +134,8 @@ def homology_ranks(n: int) -> tuple[int, ...]:
     >>> homology_ranks(3)
     (1, 0, 0)
     """
+    if n < 1:
+        raise ValueError(f"need at least one letter, got n={n}")
     ranks = [0] * (n + 1)
     for d in range(1, n):
         ranks[d] = span_rank(

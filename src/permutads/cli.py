@@ -91,15 +91,17 @@ def _ints(text: str, flag: str) -> tuple[int, ...]:
         raise DomainError(f"{flag} wants comma-separated integers, got {text!r}")
 
 
-def _json_arg(text: str, flag: str):
+def _poly_arg(text: str, flag: str) -> NCPoly:
     try:
-        return json.loads(text)
+        return NCPoly.from_json(json.loads(text))
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"malformed JSON for {flag}: {exc.msg}",
             column=exc.colno,
             position=exc.pos,
         )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DomainError(f"bad polynomial for {flag}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +271,13 @@ def cmd_qnormalize(args) -> int:
     if not t.is_permutation():
         raise DomainError(f"--perm wants a permutation word, got {list(word)}")
     d = DecoratedSurjection(t, ("mu",) * t.n)
-    _emit({"q_exponent": qpermas_normalize(d).exponent})
+    _emit({"q_exponent": qpermas_normalize(d)})
     return 0
 
 
 def cmd_asder_compose(args) -> int:
-    outer = NCPoly.from_json(_json_arg(args.outer, "--outer"))
-    inner = NCPoly.from_json(_json_arg(args.inner, "--inner"))
+    outer = _poly_arg(args.outer, "--outer")
+    inner = _poly_arg(args.inner, "--inner")
     _require_size(outer.nvars + inner.nvars - 1, "composition", DEFAULT_BOUND)
     if args.shape is not None:
         shape = Surjection(_ints(args.shape, "--shape"))

@@ -199,6 +199,14 @@ def _block_positions(t, P: NCPoly, Q: NCPoly) -> tuple[int, ...]:
     return positions
 
 
+def _head_slot(S: tuple[int, ...], total: int) -> tuple[list[int], int]:
+    """The complement of block S in 1..total, and the slot its head takes."""
+    members = set(S)
+    complement = [p for p in range(1, total + 1) if p not in members]
+    slot = sum(1 for c in complement if c < S[0]) + 1 if S else 1
+    return complement, slot
+
+
 def asder_compose(P: NCPoly, Q: NCPoly, t) -> NCPoly:
     """Graft Q into P along a two-level shape, inner block at level one.
 
@@ -209,8 +217,7 @@ def asder_compose(P: NCPoly, Q: NCPoly, t) -> NCPoly:
     """
     S = _block_positions(t, P, Q)
     total = P.nvars + Q.nvars - 1
-    complement = [p for p in range(1, total + 1) if p not in set(S)]
-    slot = sum(1 for c in complement if c < S[0]) + 1 if S else 1
+    complement, slot = _head_slot(S, total)
     block_sum = NCPoly(
         total, tuple(((s,), Fraction(1)) for s in S)
     )
@@ -305,9 +312,7 @@ def graft_is_chain(
     selects; the two-step graft is a chain when that slot lies in S.
     """
     total = P_vars + Q_vars - 1 + len(T) - 1
-    complement = [p for p in range(1, total + 1) if p not in set(T)]
-    slot = sum(1 for c in complement if c < T[0]) + 1 if T else 1
-    return slot in set(S)
+    return _head_slot(T, total)[1] in set(S)
 
 
 def asder_diamond_check(
@@ -330,9 +335,7 @@ def asder_diamond_check(
         )
     X = asder_compose(lam, mu, S)
     lhs = asder_compose(X, nu, T)
-    total = X.nvars + nu.nvars - 1
-    complement = [p for p in range(1, total + 1) if p not in set(T)]
-    slot = sum(1 for c in complement if c < T[0]) + 1
+    complement, slot = _head_slot(T, X.nvars + nu.nvars - 1)
 
     def to_final(q: int) -> int:
         return complement[q - 1] if q < slot else complement[q - 2]

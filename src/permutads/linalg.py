@@ -159,10 +159,6 @@ def qpoly_parse(s: str) -> QPoly:
     return QPoly(tuple(acc.get(e, Fraction(0)) for e in range(top + 1)))
 
 
-def coeff_str(c) -> str:
-    return str(c)
-
-
 def _domain_of(c) -> str:
     return "q" if isinstance(c, QPoly) else "rational"
 
@@ -295,10 +291,6 @@ def span_rank(vectors: Iterable[LinComb], key: Callable = None) -> int:
     return SpanBasis(vectors, key=key).rank
 
 
-def in_span(v: LinComb, basis: SpanBasis) -> bool:
-    return basis.in_span(v)
-
-
 def csv_triples(vectors: Iterable[LinComb], key_str: Callable = str) -> list[str]:
     """Rows ``row,key,coeff`` for a family of vectors, one line per entry.
 
@@ -310,5 +302,5 @@ def csv_triples(vectors: Iterable[LinComb], key_str: Callable = str) -> list[str
         for k, c in v.terms():
             key = key_str(k)
             assert "," not in key and "," not in str(c)
-            lines.append(f"{i},{key},{coeff_str(c)}")
+            lines.append(f"{i},{key},{c}")
     return lines

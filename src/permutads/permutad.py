@@ -249,10 +249,6 @@ def free_basis(M: GeneratorSet, n: int) -> list[DecoratedSurjection]:
 # ---------------------------------------------------------------------------
 # Relations, ideals, quotients.
 
-def relation_arity(rel: LinComb) -> int:
-    return arity_of(rel)
-
-
 def relation_to_json(rel: LinComb) -> list[dict]:
     return [
         {"coefficient": str(c), "element": d.to_json()} for d, c in rel.terms()
@@ -302,7 +298,7 @@ def ideal_vectors(relations, M: GeneratorSet, n: int) -> list[LinComb]:
 
     vectors: list[LinComb] = []
     for rel in relations:
-        r_arity = relation_arity(rel)
+        r_arity = arity_of(rel)
         for t in enumerate_surjections(n - 1):
             sizes = t.preimage_sizes()
             for hot in range(t.k):
@@ -340,13 +336,6 @@ def specialize(v: LinComb, value) -> LinComb:
 # ---------------------------------------------------------------------------
 # The q-associative quotient of the free binary permutad.
 
-@dataclass(frozen=True)
-class QMonomial:
-    """q^exponent times the arity-n normal form of the q-associative quotient."""
-
-    exponent: int
-
-
 def qpermas_relation() -> LinComb:
     """mu at slot 2 of mu, minus q times mu at slot 1 of mu."""
     mu = generator_element("mu", 2)
@@ -355,18 +344,18 @@ def qpermas_relation() -> LinComb:
     return upper - lower.scale(QPoly.q())
 
 
-def qpermas_normalize(d: DecoratedSurjection) -> QMonomial:
+def qpermas_normalize(d: DecoratedSurjection) -> int:
     """Exponent of the basis element in the q-associative quotient.
 
     Every all-mu decorated permutation equals q to its inversion count times
     the identity-permutation element.
 
     >>> qpermas_normalize(DecoratedSurjection(Surjection((2, 3, 1)), ("mu",) * 3))
-    QMonomial(exponent=2)
+    2
     """
     if not d.t.is_permutation() or any(name != "mu" for name in d.decorations):
         raise ValueError(f"not an all-mu decorated permutation: {d}")
-    return QMonomial(inversions(d.t.values))
+    return inversions(d.t.values)
 
 
 def binary_normal_form(expr, generator: str = "mu") -> DecoratedSurjection:

@@ -1,11 +1,12 @@
 """Shuffles, unshuffles, and the factorization into binary shuffles.
 
 An (i_1,...,i_k)-shuffle is a permutation word that increases on each
-consecutive block of positions of sizes i_1,...,i_k.  Reading the sorted
-preimages of a surjection t one vertex at a time produces such a word; that
-word is the inverse of the unshuffle sigma_t returned by :func:`sigma_of`.
-For the surjection (1,2,1,1,2) the preimages are {1,3,4} and {2,5}, the
-shuffle is (1,3,4,2,5) and sigma_t = (1,4,2,3,5).
+consecutive block of positions of sizes i_1,...,i_k.  It renders the
+ordered partition :meth:`Surjection.blocks` of a surjection t: the blocks
+written one after another, cut back at the block sizes.  That word is the
+inverse of the unshuffle sigma_t returned by :func:`sigma_of`.  For the
+surjection (1,2,1,1,2) the blocks are {1,3,4} and {2,5}, the shuffle is
+(1,3,4,2,5) and sigma_t = (1,4,2,3,5).
 
 Every (i_1,...,i_k)-shuffle factors uniquely into k - 1 binary shuffles,
 peeled off from the last block outward; :func:`shuffle_factorize` computes
@@ -14,6 +15,7 @@ the factors and :func:`staged_product` multiplies them back.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .surjections import (
@@ -25,14 +27,10 @@ from .surjections import (
 )
 
 
-def is_block_increasing(perm: tuple[int, ...], blocks: tuple[int, ...]) -> bool:
-    pos = 0
-    for size in blocks:
-        seg = perm[pos : pos + size]
-        if any(seg[i] >= seg[i + 1] for i in range(len(seg) - 1)):
-            return False
-        pos += size
-    return pos == len(perm)
+def _cut(perm: tuple[int, ...], sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """perm cut into consecutive pieces of the given sizes."""
+    ends = itertools.accumulate(sizes)
+    return [perm[end - size : end] for size, end in zip(sizes, ends)]
 
 
 @dataclass(frozen=True, order=True)
@@ -49,14 +47,9 @@ class Shuffle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "perm", tuple(self.perm))
-        if any(b < 1 for b in self.blocks):
-            raise ValueError(f"block sizes must be positive, got {self.blocks}")
-        if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
-            raise ValueError(f"perm is not a permutation word: {self.perm}")
-        if not is_block_increasing(self.perm, self.blocks):
-            raise ValueError(
-                f"perm {self.perm} is not increasing on blocks {self.blocks}"
-            )
+        if sum(self.blocks) != len(self.perm):
+            raise ValueError(f"block sizes {self.blocks} do not sum to {len(self.perm)}")
+        Surjection.from_blocks(_cut(self.perm, self.blocks))
 
     @property
     def n(self) -> int:
@@ -76,10 +69,8 @@ def shuffle_of(t: Surjection) -> Shuffle:
     >>> shuffle_of(Surjection((1, 2, 1, 1, 2))).perm
     (1, 3, 4, 2, 5)
     """
-    word: list[int] = []
-    for j in range(1, t.k + 1):
-        word.extend(t.preimage(j))
-    return Shuffle(t.preimage_sizes(), tuple(word))
+    blocks = t.blocks()
+    return Shuffle(tuple(map(len, blocks)), sum(blocks, ()))
 
 
 def sigma_of(t: Surjection) -> Surjection:
@@ -94,7 +85,7 @@ def sigma_of(t: Surjection) -> Surjection:
     """
     if t.n < 1:
         raise ValueError("sigma_of needs at least one input")
-    return Surjection(inverse(shuffle_of(t).perm))
+    return Surjection(inverse(sum(t.blocks(), ())))
 
 
 def surjection_of_shuffle(s: Shuffle) -> Surjection:
@@ -103,13 +94,7 @@ def surjection_of_shuffle(s: Shuffle) -> Surjection:
     >>> surjection_of_shuffle(shuffle_of(Surjection((2, 1, 2)))).values
     (2, 1, 2)
     """
-    values = [0] * s.n
-    pos = 0
-    for j, size in enumerate(s.blocks, start=1):
-        for p in s.perm[pos : pos + size]:
-            values[p - 1] = j
-        pos += size
-    return Surjection(tuple(values))
+    return Surjection.from_blocks(_cut(s.perm, s.blocks))
 
 
 def staged_product(factors: list[Shuffle], blocks: tuple[int, ...]) -> Shuffle:

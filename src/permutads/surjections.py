@@ -9,7 +9,11 @@ operations of arity n + 1.
 
 Vertices are the target values 1..k, drawn as the levels of a tree with the
 inputs of vertex j sitting at the positions of ``t.values`` equal to j.  The
-operation arity of vertex j is one more than its preimage size.
+operation arity of vertex j is one more than its preimage size.  The
+preimages in vertex order form an ordered partition of 1..n,
+:meth:`Surjection.blocks`; :meth:`Surjection.from_blocks` is its inverse and
+the one place a partition is validated.  Shuffles, leveled trees and left
+combs are renders of that partition.
 
 Permutations appear throughout as plain value tuples ("words"): ``w[i - 1]``
 is the image of i.  Helpers for words live at the bottom of the module.
@@ -41,7 +45,7 @@ class Surjection:
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
         k = max(vals, default=0)
-        if any(not isinstance(v, int) or v < 1 for v in vals):
+        if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in vals):
             raise ValueError(f"values must be positive integers, got {vals}")
         if set(vals) != set(range(1, k + 1)):
             missing = sorted(set(range(1, k + 1)) - set(vals))
@@ -72,6 +76,37 @@ class Surjection:
     def preimage(self, j: int) -> tuple[int, ...]:
         """Positions mapped to vertex j, in increasing order."""
         return tuple(a for a, v in enumerate(self.values, start=1) if v == j)
+
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The preimages of 1..k in turn: an ordered partition of 1..n.
+
+        >>> Surjection((1, 2, 1, 1, 2)).blocks()
+        ((1, 3, 4), (2, 5))
+        """
+        out: list[list[int]] = [[] for _ in range(self.k)]
+        for a, v in enumerate(self.values, start=1):
+            out[v - 1].append(a)
+        return tuple(map(tuple, out))
+
+    @staticmethod
+    def from_blocks(blocks) -> "Surjection":
+        """Inverse of :meth:`blocks`: nonempty, strictly increasing blocks
+        that partition 1..n, block j becoming the preimage of j.
+
+        >>> Surjection.from_blocks(((1, 3, 4), (2, 5))).values
+        (1, 2, 1, 1, 2)
+        """
+        n = sum(map(len, blocks))
+        values = [0] * n
+        for j, block in enumerate(blocks, start=1):
+            if not block:
+                raise ValueError(f"block {j} is empty")
+            for prev, a in zip((0, *block), block):
+                ok = isinstance(a, int) and not isinstance(a, bool) and prev < a <= n
+                if not ok or values[a - 1]:
+                    raise ValueError(f"blocks must increase and partition 1..{n}: {blocks}")
+                values[a - 1] = j
+        return Surjection(tuple(values))
 
     def preimage_sizes(self) -> tuple[int, ...]:
         sizes = [0] * self.k

@@ -2,8 +2,10 @@
 
 Ball-drop picture: a surjection t with n inputs is a tree on leaves 0..n
 whose gap i (between leaves i - 1 and i) closes at level t(i), levels
-numbered downward from 1.  The formal carrier here is exactly that data,
-one gap set per level (:class:`LeveledTree`).
+numbered downward from 1.  The gap sets per level (:class:`LeveledTree`)
+and the label sets of a left comb (:class:`ShuffleLeftComb`) are both the
+ordered partition :meth:`Surjection.blocks`; they differ only in how they
+draw it, and :meth:`Surjection.from_blocks` validates and inverts both.
 
 Two nested-array renders are used for JSON:
 
@@ -38,14 +40,7 @@ class LeveledTree:
     def __post_init__(self) -> None:
         levels = tuple(tuple(sorted(level)) for level in self.levels)
         object.__setattr__(self, "levels", levels)
-        seen: list[int] = []
-        for j, level in enumerate(levels, start=1):
-            if not level:
-                raise ValueError(f"level {j} owns no gaps")
-            seen.extend(level)
-        n = len(seen)
-        if sorted(seen) != list(range(1, n + 1)):
-            raise ValueError(f"gap sets do not partition 1..{n}: {levels}")
+        Surjection.from_blocks(levels)
 
     @property
     def n(self) -> int:
@@ -79,15 +74,11 @@ def tree_from_surjection(t: Surjection) -> LeveledTree:
     """
     if t.n < 1:
         raise ValueError("tree_from_surjection needs at least one input")
-    return LeveledTree(tuple(t.preimage(j) for j in range(1, t.k + 1)))
+    return LeveledTree(t.blocks())
 
 
 def tree_to_surjection(tr: LeveledTree) -> Surjection:
-    values = [0] * tr.n
-    for j, level in enumerate(tr.levels, start=1):
-        for gap in level:
-            values[gap - 1] = j
-    return Surjection(tuple(values))
+    return Surjection.from_blocks(tr.levels)
 
 
 def tree_to_nested(tr: LeveledTree) -> Nested:
@@ -153,9 +144,7 @@ def tree_from_nested(nested: Nested) -> LeveledTree:
     if lo != 0:
         raise ValueError(f"leftmost leaf must be 0, got {lo}")
     k = max(by_level, default=0)
-    if sorted(by_level) != list(range(1, k + 1)):
-        raise ValueError(f"level numbers must be 1..{k}: {sorted(by_level)}")
-    return LeveledTree(tuple(tuple(by_level[j]) for j in range(1, k + 1)))
+    return LeveledTree(tuple(tuple(by_level.get(j, ())) for j in range(1, k + 1)))
 
 
 @dataclass(frozen=True, order=True)
@@ -167,16 +156,7 @@ class ShuffleLeftComb:
     def __post_init__(self) -> None:
         labels = tuple(tuple(level) for level in self.labels)
         object.__setattr__(self, "labels", labels)
-        seen: list[int] = []
-        for j, level in enumerate(labels, start=1):
-            if not level:
-                raise ValueError(f"vertex {j} carries no labels")
-            if any(level[i] >= level[i + 1] for i in range(len(level) - 1)):
-                raise ValueError(f"labels at vertex {j} must increase: {level}")
-            seen.extend(level)
-        n = len(seen)
-        if sorted(seen) != list(range(1, n + 1)):
-            raise ValueError(f"label sets do not partition 1..{n}: {labels}")
+        Surjection.from_blocks(labels)
 
     @property
     def n(self) -> int:
@@ -206,15 +186,11 @@ def comb_from_surjection(t: Surjection) -> ShuffleLeftComb:
     """
     if t.n < 1:
         raise ValueError("comb_from_surjection needs at least one input")
-    return ShuffleLeftComb(tuple(t.preimage(j) for j in range(1, t.k + 1)))
+    return ShuffleLeftComb(t.blocks())
 
 
 def comb_to_surjection(c: ShuffleLeftComb) -> Surjection:
-    values = [0] * c.n
-    for j, level in enumerate(c.labels, start=1):
-        for x in level:
-            values[x - 1] = j
-    return Surjection(tuple(values))
+    return Surjection.from_blocks(c.labels)
 
 
 def comb_to_nested(c: ShuffleLeftComb) -> Nested:

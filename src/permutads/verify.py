@@ -444,16 +444,16 @@ def check_q_normal_form(max_n: int) -> None:
             Surjection(tuple(range(1, n))), ("mu",) * (n - 1)
         )
         for d in free_basis(qgens, n):
-            mono = qpermas_normalize(d)
-            if mono.exponent != inversions(d.t.values):
+            exponent = qpermas_normalize(d)
+            if exponent != inversions(d.t.values):
                 _fail(
                     check="q-normal-form",
                     element=d,
-                    exponent=mono.exponent,
+                    exponent=exponent,
                     inversions=inversions(d.t.values),
                 )
             diff = LinComb({d: QPoly.const(1)}) - LinComb(
-                {identity: QPoly.q(mono.exponent)}
+                {identity: QPoly.q(exponent)}
             )
             if not diff.is_zero() and not basis.in_span(diff):
                 _fail(check="q-normal-form", element=d, note="not in relation ideal")
@@ -474,12 +474,12 @@ def check_q_exponent_pins() -> None:
         terms = expr.terms()
         if len(terms) != 1:
             _fail(check="q-exponent-pins", terms=len(terms))
-        mono = qpermas_normalize(terms[0][0])
-        if mono.exponent != expect:
+        exponent = qpermas_normalize(terms[0][0])
+        if exponent != expect:
             _fail(
                 check="q-exponent-pins",
                 element=terms[0][0],
-                exponent=mono.exponent,
+                exponent=exponent,
                 expect=expect,
             )
 

@@ -68,6 +68,13 @@ def test_convert_rejects_bad_items_with_line_numbers(capsys, monkeypatch):
     assert "input line 1" in json.loads(err)["error"]
 
 
+def test_convert_rejects_boolean_values(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"values": [true, 1]}\n'))
+    code, out, err = run(capsys, "convert", "--from", "surjection", "--to", "tree")
+    assert code == 1 and out == ""
+    assert "input line 1" in json.loads(err)["error"]
+
+
 def test_boundary_csv_golden(capsys):
     code, out, _ = run(capsys, "boundary", "--n", "2", "--format", "csv")
     assert code == 0
@@ -95,6 +102,13 @@ def test_homology_pin(capsys):
     code, out, _ = run(capsys, "homology", "--n", "3")
     assert code == 0
     assert out == '{"n": 3, "f_vector": [6, 6, 1], "betti": [1, 0, 0]}\n'
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_homology_needs_a_letter(capsys, n):
+    code, out, err = run(capsys, "homology", "--n", n)
+    assert code == 1 and out == ""
+    assert "need at least one letter" in json.loads(err)["error"]
 
 
 def test_bruhat_check_connected_pin(capsys):
@@ -177,6 +191,15 @@ def test_asder_compose_rejects_malformed_polynomial(capsys):
     payload = json.loads(err)
     assert "--outer" in payload["error"]
     assert payload["column"] == 2
+
+
+@pytest.mark.parametrize("outer", ['{"vars": 1}', "[1]"])
+def test_asder_compose_rejects_misshapen_polynomial(capsys, outer):
+    code, out, err = run(
+        capsys, "asder", "compose", "--outer", outer, "--inner", "{}", "--block", "1"
+    )
+    assert code == 1 and out == ""
+    assert "--outer" in json.loads(err)["error"]
 
 
 def test_asder_monomial_pin(capsys):

@@ -147,7 +147,7 @@ def test_qpermas_relation_shape():
 
 def test_qpermas_normalize_pins():
     d = DecoratedSurjection(Surjection((2, 3, 1)), ("mu",) * 3)
-    assert qpermas_normalize(d).exponent == 2
+    assert qpermas_normalize(d) == 2
     with pytest.raises(ValueError):
         qpermas_normalize(DecoratedSurjection(Surjection((1, 1)), ("mu",)))
 

@@ -39,6 +39,44 @@ def test_validation():
     assert Surjection(()).k == 0
 
 
+def test_booleans_are_not_values():
+    with pytest.raises(ValueError):
+        Surjection((True, 1))
+    with pytest.raises(ValueError):
+        Surjection((1, False))
+
+
+def test_blocks_pin():
+    t = Surjection((1, 2, 1, 1, 2))
+    assert t.blocks() == ((1, 3, 4), (2, 5))
+    assert Surjection.from_blocks(t.blocks()) == t
+    assert UNIT.blocks() == ()
+    assert Surjection.from_blocks(()) == UNIT
+
+
+@given(surjections)
+def test_blocks_roundtrip(t):
+    blocks = t.blocks()
+    assert tuple(map(len, blocks)) == t.preimage_sizes()
+    assert Surjection.from_blocks(blocks) == t
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        ((1,), ()),  # empty block
+        ((2, 1),),  # not increasing
+        ((1,), (1,)),  # overlapping
+        ((1,), (3,)),  # leaves a gap in 1..n
+        ((0, 1),),  # position below 1
+        ((True, 2),),  # a boolean position
+    ],
+)
+def test_from_blocks_rejects_non_partitions(blocks):
+    with pytest.raises(ValueError):
+        Surjection.from_blocks(blocks)
+
+
 def test_basic_properties():
     t = Surjection((1, 2, 1))
     assert (t.n, t.k, t.arity, t.dim) == (3, 2, 4, 1)
