@@ -45,7 +45,7 @@ class Surjection:
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
         k = max(vals, default=0)
-        if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in vals):
+        if any(type(v) is not int or v < 1 for v in vals):
             raise ValueError(f"values must be positive integers, got {vals}")
         if set(vals) != set(range(1, k + 1)):
             missing = sorted(set(range(1, k + 1)) - set(vals))
@@ -101,11 +101,12 @@ class Surjection:
         for j, block in enumerate(blocks, start=1):
             if not block:
                 raise ValueError(f"block {j} is empty")
-            for prev, a in zip((0, *block), block):
-                ok = isinstance(a, int) and not isinstance(a, bool) and prev < a <= n
-                if not ok or values[a - 1]:
+            prev = 0
+            for a in block:
+                if type(a) is not int or not prev < a <= n or values[a - 1]:
                     raise ValueError(f"blocks must increase and partition 1..{n}: {blocks}")
                 values[a - 1] = j
+                prev = a
         return Surjection(tuple(values))
 
     def preimage_sizes(self) -> tuple[int, ...]:

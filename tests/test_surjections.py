@@ -36,14 +36,11 @@ def test_validation():
         Surjection((1, 3))
     with pytest.raises(ValueError):
         Surjection((0, 1))
-    assert Surjection(()).k == 0
-
-
-def test_booleans_are_not_values():
     with pytest.raises(ValueError):
         Surjection((True, 1))
     with pytest.raises(ValueError):
         Surjection((1, False))
+    assert Surjection(()).k == 0
 
 
 def test_blocks_pin():
