@@ -47,9 +47,12 @@ class Shuffle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "perm", tuple(self.perm))
-        if sum(self.blocks) != len(self.perm):
-            raise ValueError(f"block sizes {self.blocks} do not sum to {len(self.perm)}")
-        Surjection.from_blocks(_cut(self.perm, self.blocks))
+        if any(type(b) is not int for b in self.blocks):
+            raise ValueError(f"block sizes must be integers, got {self.blocks}")
+        pieces = _cut(self.perm, self.blocks)
+        if tuple(map(len, pieces)) != self.blocks or sum(self.blocks) != self.n:
+            raise ValueError(f"block sizes {self.blocks} do not cut {self.perm}")
+        Surjection.from_blocks(pieces)
 
     @property
     def n(self) -> int:

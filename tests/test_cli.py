@@ -75,6 +75,13 @@ def test_convert_rejects_boolean_values(capsys, monkeypatch):
     assert "input line 1" in json.loads(err)["error"]
 
 
+def test_convert_rejects_negative_shuffle_block(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"blocks": [-1, 3], "perm": [1, 2]}\n'))
+    code, out, err = run(capsys, "convert", "--from", "shuffle", "--to", "surjection")
+    assert code == 1 and out == ""
+    assert "input line 1" in json.loads(err)["error"]
+
+
 def test_boundary_csv_golden(capsys):
     code, out, _ = run(capsys, "boundary", "--n", "2", "--format", "csv")
     assert code == 0

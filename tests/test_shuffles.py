@@ -27,6 +27,14 @@ def test_shuffle_validation():
         Shuffle((1, 1), (1, 1))
     with pytest.raises(ValueError):
         Shuffle((0, 2), (1, 2))
+    with pytest.raises(ValueError):
+        Shuffle((-1, 3), (1, 2))  # negative size whose running ends still reach 2
+    with pytest.raises(ValueError):
+        Shuffle((2, 1), (1, 2))  # sizes sum past len(perm)
+    with pytest.raises(ValueError):
+        Shuffle((1,), (1, 2))  # sizes stop short of len(perm)
+    with pytest.raises(ValueError):
+        Shuffle((True, 1), (1, 2))
 
 
 def test_shuffle_of_pin():
