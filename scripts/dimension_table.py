@@ -20,7 +20,7 @@ class TablePlan:
 
 PLANS = {
     "permMag": TablePlan("permMag", 7, 5),
-    "qPermAs": TablePlan("qPermAs", 6, 5),
+    "qPermAs": TablePlan("qPermAs", 6, 6),
     "permAsSh": TablePlan("permAsSh", 5, 4),
 }
 

@@ -38,7 +38,7 @@ from .trees import (
 )
 from .verify import iter_checks
 
-QUOTIENT_BOUND = 5
+QUOTIENT_BOUND = 6
 COMPLEX_BOUND = 6
 DEFAULT_BOUND = 7
 

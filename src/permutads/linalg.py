@@ -3,9 +3,14 @@
 Coefficients are either rationals (int or Fraction) or elements of the
 polynomial ring in the formal parameter q with rational coefficients
 (:class:`QPoly`).  No floating point enters anywhere.  Ranks over the
-polynomial ring are ranks over its fraction field; elimination proceeds by
-cross-multiplication so that no division is ever required, which keeps one
-code path for both coefficient domains.
+polynomial ring are ranks over its fraction field, found without leaving
+the ring.  Over Q an elimination step cross-multiplies by the two leading
+coefficients.  Over Q[q] it cross-multiplies by their cofactors after
+dividing out their gcd, then divides the remainder by the monic gcd of its
+coefficients (its content), so every row is primitive and q-degrees stay
+near those of the inputs: the primitive-part idea of Collins and Brown's
+subresultant sequences and the size control behind Bareiss's
+fraction-free elimination.
 
 A :class:`LinComb` maps hashable, totally ordered basis keys to nonzero
 coefficients.  A :class:`SpanBasis` keeps a row-reduced generating set with
@@ -41,6 +46,15 @@ class QPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @staticmethod
+    def _of(cs: list) -> "QPoly":
+        """Build from a list of Fractions, trimming zeros, without converting."""
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(QPoly)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
+
+    @staticmethod
     def const(x) -> "QPoly":
         return QPoly((Fraction(x),))
 
@@ -67,15 +81,17 @@ class QPoly:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (size - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (size - len(other.coeffs))
-        return QPoly(tuple(x + y for x, y in zip(a, b)))
+        longer, shorter = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
+        out = list(longer)
+        for i, c in enumerate(shorter):
+            if c:
+                out[i] += c
+        return QPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerced(other)
@@ -91,14 +107,52 @@ class QPoly:
         if other is None:
             return NotImplemented
         if not self or not other:
-            return QPoly(())
+            return QPoly._of([])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(tuple(out))
+            if a:
+                for j, b in right:
+                    out[i + j] += a * b
+        return QPoly._of(out)
 
     __rmul__ = __mul__
+
+    def __divmod__(self, other):
+        """Euclidean division: ``self == quot * other + rem``, ``rem.degree < other.degree``.
+
+        >>> divmod(QPoly.q(2) - QPoly.const(1), QPoly.q() - QPoly.const(1))
+        (QPoly(coeffs=(Fraction(1, 1), Fraction(1, 1))), QPoly(coeffs=()))
+        """
+        other = self._coerced(other)
+        if other is None:
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("QPoly division by zero")
+        rem = list(self.coeffs)
+        top = other.degree
+        lead = other.coeffs[-1]
+        quot = [Fraction(0)] * max(len(rem) - top, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            c = rem[i + top] / lead
+            quot[i] = c
+            if c:
+                for j, b in enumerate(other.coeffs):
+                    rem[i + j] -= c * b
+        return QPoly._of(quot), QPoly._of(rem[:top])
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def monic(self) -> "QPoly":
+        """Scale to leading coefficient one; zero stays zero."""
+        if not self:
+            return self
+        lead = self.coeffs[-1]
+        return QPoly._of([c / lead for c in self.coeffs])
 
     def evaluate(self, x) -> Fraction:
         """Specialize q to a rational value."""
@@ -127,6 +181,30 @@ class QPoly:
             else:
                 pieces.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(pieces)
+
+
+def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """Monic greatest common divisor, by Euclid; ``qpoly_gcd(0, 0)`` is 0.
+
+    A monomial c*q^k shortcuts Euclid: its gcd with p is q^min(k, ord p).
+
+    >>> print(qpoly_gcd(QPoly.q(2) - QPoly.const(1), QPoly.q(2) - QPoly.q()))
+    q - 1
+    >>> print(qpoly_gcd(QPoly.q(3) - QPoly.q(2), QPoly.const(-2) * QPoly.q(4)))
+    q^2
+    """
+    if b and not any(b.coeffs[:-1]):
+        a, b = b, a
+    if a and not any(a.coeffs[:-1]):
+        low = a.degree
+        for i, c in enumerate(b.coeffs[:low]):
+            if c:
+                low = i
+                break
+        return QPoly.q(low)
+    while b:
+        a, b = b, a % b
+    return a.monic()
 
 
 _QPOLY_TERM = re.compile(r"^(-)?(?:(\d+(?:/\d+)?)\*?)?(?:q(?:\^(\d+))?)?$")
@@ -231,12 +309,28 @@ def linear_extend(fn: Callable, v: LinComb) -> LinComb:
     return out
 
 
+def _primitive(v: LinComb) -> LinComb:
+    """Divide a Q[q] combination by the monic gcd of its coefficients."""
+    content = QPoly(())
+    for c in v._terms.values():
+        if not isinstance(c, QPoly):
+            return v
+        content = qpoly_gcd(content, c)
+        if content.degree == 0:
+            return v
+    return v.map_coeffs(lambda c: c // content)
+
+
 class SpanBasis:
     """Row-reduced span with one pivot row per leading key.
 
-    Reduction is by cross-multiplication, valid over both coefficient
-    domains; membership and rank are exact.  Insertion order never affects
-    the rank, and pivots are always the lowest keys available.
+    A step replaces v by ``a*v - b*row``, where b and a are the leading
+    coefficients of v and the row; over Q[q] they are first divided by
+    their gcd, and the result by its content, so stored rows are primitive.
+    Only scalars of the fraction field ever multiply a vector, so ranks,
+    pivots and membership are exact and match plain cross-multiplication.
+    Insertion order never affects the rank, and pivots are always the
+    lowest keys available.
     """
 
     def __init__(self, vectors: Iterable[LinComb] = (), key: Callable = None) -> None:
@@ -259,7 +353,14 @@ class SpanBasis:
             row = self._rows.get(lead)
             if row is None:
                 return v
-            v = v.scale(row.get(lead)) - row.scale(v.get(lead))
+            a, b = row.get(lead), v.get(lead)
+            if isinstance(a, QPoly) and isinstance(b, QPoly):
+                g = qpoly_gcd(a, b)
+                if g.degree > 0:
+                    a, b = a // g, b // g
+                v = _primitive(v.scale(a) - row.scale(b))
+            else:
+                v = v.scale(a) - row.scale(b)
         return v
 
     def add(self, v: LinComb) -> bool:
@@ -268,7 +369,7 @@ class SpanBasis:
         if rem.is_zero():
             return False
         lead = min(rem.keys(), key=self._key)
-        self._rows[lead] = rem
+        self._rows[lead] = _primitive(rem)
         return True
 
     def in_span(self, v: LinComb) -> bool:

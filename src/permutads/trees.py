@@ -118,16 +118,20 @@ def tree_to_nested(tr: LeveledTree) -> Nested:
 
 
 def tree_from_nested(nested: Nested) -> LeveledTree:
-    """Parse the planar render back to gap sets; exact inverse of the render."""
+    """Parse the planar render back to gap sets; exact inverse of the render.
+
+    Only the canonical render is accepted, so a parsed tree draws back to
+    its input.
+    """
     by_level: dict[int, list[int]] = {}
 
     def walk(node: Nested) -> tuple[int, int]:
-        if isinstance(node, int):
+        if type(node) is int:
             return node, node
         if not isinstance(node, list) or len(node) < 3:
             raise ValueError(f"malformed tree node: {node!r}")
         level = node[0]
-        if not isinstance(level, int) or level < 1:
+        if type(level) is not int or level < 1:
             raise ValueError(f"bad level marker in node: {node!r}")
         lo, hi = walk(node[1])
         for child in node[2:]:
@@ -144,7 +148,10 @@ def tree_from_nested(nested: Nested) -> LeveledTree:
     if lo != 0:
         raise ValueError(f"leftmost leaf must be 0, got {lo}")
     k = max(by_level, default=0)
-    return LeveledTree(tuple(tuple(by_level.get(j, ())) for j in range(1, k + 1)))
+    tr = LeveledTree(tuple(tuple(by_level.get(j, ())) for j in range(1, k + 1)))
+    if tree_to_nested(tr) != nested:
+        raise ValueError(f"nested tree is not in canonical form: {nested!r}")
+    return tr
 
 
 @dataclass(frozen=True, order=True)
@@ -212,10 +219,10 @@ def comb_from_nested(nested: Nested) -> ShuffleLeftComb:
         if not isinstance(node, list) or len(node) < 2:
             raise ValueError(f"malformed comb node: {node!r}")
         head, *rest = node
-        if any(not isinstance(x, int) for x in rest):
+        if any(type(x) is not int for x in rest):
             raise ValueError(f"comb labels must sit right of the spine: {node!r}")
         levels.append(tuple(rest))
-        if isinstance(head, int):
+        if type(head) is int:
             if head != 0:
                 raise ValueError(f"topmost left leaf must be 0, got {head}")
             break

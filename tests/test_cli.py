@@ -82,6 +82,24 @@ def test_convert_rejects_negative_shuffle_block(capsys, monkeypatch):
     assert "input line 1" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "kind, line",
+    [("tree", '{"nested": [true, 0, 1]}'), ("comb", '{"nested": [[false, 1], 2]}')],
+)
+def test_convert_rejects_boolean_nested_renders(capsys, monkeypatch, kind, line):
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code, out, err = run(capsys, "convert", "--from", kind, "--to", "surjection")
+    assert code == 1 and out == ""
+    assert "input line 1" in json.loads(err)["error"]
+
+
+def test_convert_rejects_non_canonical_nested_tree(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"nested": [1, 0, [1, 1, 2]]}\n'))
+    code, out, err = run(capsys, "convert", "--from", "tree", "--to", "tree")
+    assert code == 1 and out == ""
+    assert "canonical" in json.loads(err)["error"]
+
+
 def test_boundary_csv_golden(capsys):
     code, out, _ = run(capsys, "boundary", "--n", "2", "--format", "csv")
     assert code == 0
@@ -227,6 +245,13 @@ def test_permutad_dim_pin(capsys):
         "free_dimension": 6,
         "dimension": 1,
     }
+
+
+def test_permutad_dim_reaches_arity_six(capsys):
+    code, out, err = run(capsys, "permutad", "dim", "--preset", "qPermAs", "--n", "6")
+    assert code == 0 and err == ""
+    row = json.loads(out)
+    assert (row["free_dimension"], row["dimension"]) == (120, 1)
 
 
 def test_verify_all_small_bound(capsys):

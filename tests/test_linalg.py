@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,12 +9,18 @@ from permutads.linalg import (
     QPoly,
     SpanBasis,
     csv_triples,
+    qpoly_gcd,
     qpoly_parse,
     span_rank,
 )
+from permutads.permutad import PRESETS, ideal_vectors
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 qpolys = st.lists(rationals, max_size=5).map(lambda cs: QPoly(tuple(cs)))
+monomials = st.tuples(rationals, st.integers(0, 4)).map(
+    lambda ce: QPoly.const(ce[0]) * QPoly.q(ce[1])
+)
+polys = qpolys | monomials
 
 
 def test_qpoly_normalizes_trailing_zeros():
@@ -37,6 +44,37 @@ def test_qpoly_evaluation_is_a_homomorphism(p, x):
     q = QPoly.q() + QPoly.const(3)
     assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
     assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
+
+
+@given(polys, polys)
+def test_qpoly_division_with_remainder(a, b):
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, b)
+        return
+    quot, rem = divmod(a, b)
+    assert a == quot * b + rem
+    assert rem.degree < b.degree
+
+
+@given(polys, polys, polys)
+def test_qpoly_gcd_is_monic_and_divides_both(a, b, c):
+    g = qpoly_gcd(a, b)
+    if not a and not b:
+        assert g == QPoly(())
+        return
+    assert g.coeffs[-1] == 1
+    assert a % g == QPoly(()) and b % g == QPoly(())
+    if c:
+        assert qpoly_gcd(a * c, b * c) == g * c.monic()
+
+
+def test_qpoly_gcd_pins():
+    x = QPoly.q() - QPoly.const(1)
+    assert qpoly_gcd(x * x, x * (QPoly.q() + QPoly.const(1))) == x
+    assert qpoly_gcd(QPoly.const(3), x) == QPoly.const(1)
+    assert qpoly_gcd(QPoly.q(3), QPoly.q(5) - QPoly.q(2)) == QPoly.q(2)
+    assert qpoly_gcd(QPoly(()), QPoly.const(-2) * x) == x
 
 
 def test_qpoly_str_pins():
@@ -112,6 +150,45 @@ def test_span_membership_over_q():
     assert basis.rank == 2
     assert basis.in_span(LinComb({"a": QPoly.q(2), "b": QPoly.q()}))
     assert not basis.in_span(LinComb({"c": QPoly.const(1)}))
+
+
+def _cross_multiplied_pivots(vectors):
+    """Pivots and ranks by bare cross-multiplication, for comparison."""
+    rows = {}
+    for v in vectors:
+        while not v.is_zero():
+            lead = min(v.keys())
+            if lead not in rows:
+                rows[lead] = v
+                break
+            v = v.scale(rows[lead].get(lead)) - rows[lead].scale(v.get(lead))
+    return sorted(rows)
+
+
+small_qpolys = st.lists(st.integers(-3, 3), max_size=3).map(lambda cs: QPoly(tuple(cs)))
+q_vector = st.dictionaries(st.sampled_from("abc"), small_qpolys).map(LinComb)
+
+
+@given(st.lists(q_vector, max_size=4), small_qpolys, st.lists(q_vector, max_size=2))
+def test_primitive_elimination_keeps_pivots_and_membership(vectors, scalar, probes):
+    basis = SpanBasis(vectors)
+    assert basis.pivots() == _cross_multiplied_pivots(vectors)
+    combination = LinComb()
+    for i, v in enumerate(vectors):
+        combination = combination + v.scale(scalar * QPoly.q(i))
+    assert basis.in_span(combination)
+    for probe in probes:
+        assert basis.in_span(probe) == (
+            len(_cross_multiplied_pivots(vectors + [probe])) == basis.rank
+        )
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_qpermas_pivot_rows_stay_small(n):
+    gens, rels = PRESETS["qPermAs"]()
+    basis = SpanBasis(ideal_vectors(rels, gens, n))
+    assert basis.rank == factorial(n - 1) - 1
+    assert max(c.degree for row in basis._rows.values() for _, c in row.terms()) <= 6
 
 
 def test_mixed_domains_are_rejected():

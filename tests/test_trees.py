@@ -117,3 +117,25 @@ def test_from_json_checks_consistency():
     broken["nested"] = [1, 0, 1]
     with pytest.raises(ValueError):
         LeveledTree.from_json(broken)
+
+
+@pytest.mark.parametrize(
+    "nested",
+    [
+        [1, 0, [1, 1, 2]],  # a child repeating its parent's level
+        [1, [1, 0, 1], 2],
+        [2, 0, 1],  # level 1 left empty
+    ],
+)
+def test_tree_from_nested_rejects_non_canonical_renders(nested):
+    with pytest.raises(ValueError):
+        tree_from_nested(nested)
+
+
+def test_nested_renders_reject_booleans():
+    with pytest.raises(ValueError):
+        tree_from_nested([True, 0, 1])
+    with pytest.raises(ValueError):
+        tree_from_nested([1, False, 1])
+    with pytest.raises(ValueError):
+        comb_from_nested([[False, 1], 2])
