@@ -2,18 +2,17 @@
 
 Cells of the permutohedron on n letters are the surjections defined on
 {1..n}: the cell of t: n ->> k has dimension n - k, so the vertices are
-the permutation words and the unique top cell is the constant word.  The
-boundary of a face splits one level into two; the face obtained by
-splitting level j of t along s: i ->> 2 enters with sign
+the permutation words and the unique top cell is the constant word.  A
+facet splits one block B_j of the ordered partition :meth:`Surjection.blocks`
+into nonempty A then B, with sign
 
-    (-1)^(sum of (i_l - 1) over levels l < j) * sign(s),
+    (-1)^(sum of (|B_l| - 1) over l < j  +  |A|  +  #{a in A, b in B : a > b}),
 
-where sign(s) for a two-level surjection is the sign of its unshuffle
-permutation times (-1)^(size of the first level).  Substituting cells
-into cells is again a cell and raises degree additively, which makes the
-whole family of complexes a permutad in chain complexes; the interaction
-of substitution with the boundary is the graded Leibniz rule exercised
-by :func:`dg_leibniz_check`.
+the closed form of substituting a two-level split at vertex j, signed by
+its unshuffle.  Substituting cells into cells is again a cell and raises
+degree additively, which makes the whole family of complexes a
+permutad in chain complexes; the interaction of substitution with the
+boundary is the graded Leibniz rule exercised by :func:`dg_leibniz_check`.
 
 Degrees and arities are offset by one throughout the package: the
 complex built from surjections with source n - 1 sits in arity n, and
@@ -23,15 +22,10 @@ arity m + n - 1.
 
 from __future__ import annotations
 
+import itertools
+
 from .linalg import LinComb, linear_extend, span_rank
-from .shuffles import sigma_of
-from .surjections import (
-    Surjection,
-    corolla,
-    enumerate_surjections,
-    substitute,
-    word_sign,
-)
+from .surjections import Surjection, corolla, enumerate_surjections, substitute
 
 
 def cells(n: int) -> list[Surjection]:
@@ -42,10 +36,7 @@ def cells(n: int) -> list[Surjection]:
     """
     if n < 1:
         raise ValueError(f"need at least one letter, got n={n}")
-    out = []
-    for k in range(1, n + 1):
-        out.extend(enumerate_surjections(n, k))
-    return out
+    return [t for k in range(1, n + 1) for t in enumerate_surjections(n, k)]
 
 
 def cells_of_dim(n: int, d: int) -> list[Surjection]:
@@ -75,25 +66,28 @@ def vertex_coords(n: int) -> dict[Surjection, tuple[int, ...]]:
     return {t: t.values for t in cells_of_dim(n, 0)}
 
 
-def split_sign(s: Surjection) -> int:
-    """Sign of a binary split, from its unshuffle and first-level size."""
-    if s.k != 2:
-        raise ValueError(f"split must have two levels, got {s.k}")
-    return word_sign(sigma_of(s).values) * (-1) ** len(s.preimage(1))
-
-
 def splittings(t: Surjection, j: int) -> list[tuple[int, Surjection]]:
-    """Signed codimension-one faces obtained by splitting level j of t."""
-    sizes = t.preimage_sizes()
-    if sizes[j - 1] < 2:
-        return []
-    prefix = sum(i - 1 for i in sizes[: j - 1])
+    """Signed facets splitting block j of t into (A, B), B taking level j + 1.
+
+    >>> [(c, u.values) for c, u in splittings(Surjection((1, 2, 1)), 1)]
+    [(-1, (1, 3, 2)), (1, (2, 3, 1))]
+    """
+    blocks = t.blocks()
+    block = blocks[j - 1]
+    prefix = sum(len(b) - 1 for b in blocks[: j - 1])
     out = []
-    for s in enumerate_surjections(sizes[j - 1], 2):
-        parts = tuple(
-            s if l == j else corolla(sizes[l - 1]) for l in range(1, t.k + 1)
-        )
-        out.append(((-1) ** prefix * split_sign(s), substitute(t, parts)))
+    for upper in itertools.product((False, True), repeat=len(block)):
+        if all(upper) or not any(upper):
+            continue
+        A, B, crossings = [], [], 0
+        for a, up in zip(block, upper):
+            if up:
+                B.append(a)
+            else:
+                A.append(a)
+                crossings += len(B)
+        face = Surjection.from_blocks(blocks[: j - 1] + (tuple(A), tuple(B)) + blocks[j:])
+        out.append(((-1) ** (prefix + len(A) + crossings), face))
     return out
 
 
@@ -171,11 +165,16 @@ def chain_circ_t(a: LinComb, b: LinComb, t: Surjection) -> LinComb:
 
 
 def grafting_shapes(m: int, n: int) -> list[Surjection]:
-    """Two-level shapes along which arities m and n can be grafted."""
+    """Two-level shapes along which arities m and n can be grafted.
+
+    The first level takes n - 1 of the m + n - 2 positions; value-lex order.
+    """
+    if min(m, n) < 2:
+        return []
+    positions = range(1, m + n - 1)
     return [
-        t
-        for t in enumerate_surjections(m + n - 2, 2)
-        if len(t.preimage(1)) == n - 1
+        Surjection.from_blocks((A, tuple(a for a in positions if a not in A)))
+        for A in itertools.combinations(positions, n - 1)
     ]
 
 

@@ -5,8 +5,9 @@ object per line, boundaries also come as ``row,key,coeff`` CSV, graphs as
 DOT.  All output is deterministic, so reruns are byte-identical.  Domain
 errors produce a single JSON object on stderr and exit code 1; argument
 errors exit with 2.  The environment variable ``PERMUTAD_MAX_N`` replaces
-the per-command size bounds, which default to 5 for quotient computations,
-6 for chain complexes and 7 elsewhere.
+the per-command size bounds, which default to 6 for quotient computations
+and chain complexes and 7 elsewhere.  A reader that closes the output early
+(``| head``) ends the run with exit code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .trees import (
     tree_from_surjection,
     tree_to_surjection,
 )
-from .verify import iter_checks
+from .verify import CHECKS, bound_for, iter_checks
 
 QUOTIENT_BOUND = 6
 COMPLEX_BOUND = 6
@@ -115,16 +116,10 @@ def _cell_json(t: Surjection) -> dict:
 def cmd_enum(args) -> int:
     _require_size(args.n, "enumeration", DEFAULT_BOUND)
     ts = enumerate_surjections(args.n, args.k)
-    if args.kind == "surjections":
-        rows = [t.to_json() for t in ts]
-    elif args.kind == "shuffles":
-        rows = [shuffle_of(t).to_json() for t in ts]
-    elif args.kind == "trees":
-        rows = [tree_from_surjection(t).to_json() for t in ts]
-    elif args.kind == "combs":
-        rows = [comb_from_surjection(t).to_json() for t in ts]
-    else:
+    if args.kind == "cells":
         rows = [_cell_json(t) for t in sorted(ts, key=lambda t: (t.dim, t.values))]
+    else:  # the plural of a convert kind
+        rows = [_TO[args.kind[:-1]](t) for t in ts]
     for row in rows:
         _emit(row)
     return 0
@@ -312,7 +307,11 @@ def cmd_permutad_dim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for name, bound, witness in iter_checks(args.max_n, ceiling=_env_cap()):
+    ceiling = _env_cap()
+    low = min({bound_for(check, args.max_n, ceiling) for check in CHECKS} - {None})
+    if low < 1:
+        raise DomainError(f"bound {low} leaves the checks no case to examine", bound=low)
+    for name, bound, witness in iter_checks(args.max_n, ceiling):
         row = {"check": name, "max_n": bound, "ok": witness is None}
         if witness is not None:
             row["witness"] = witness
@@ -414,7 +413,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone; devnull keeps the flush at exit quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DomainError as exc:
         _emit_error(exc.payload)
         return 1

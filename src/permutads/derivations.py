@@ -180,7 +180,7 @@ def _block_positions(t, P: NCPoly, Q: NCPoly) -> tuple[int, ...]:
     if isinstance(t, Surjection):
         if t.k not in (1, 2):
             raise ValueError(f"grafting shape must have at most two levels, got {t.k}")
-        positions = t.preimage(1)
+        positions = t.blocks()[0]
     else:
         positions = tuple(t)
     if list(positions) != sorted(set(positions)):

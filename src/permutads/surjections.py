@@ -33,8 +33,8 @@ class Surjection:
     >>> t = Surjection((1, 2, 1))
     >>> t.n, t.k
     (3, 2)
-    >>> t.preimage(1)
-    (1, 3)
+    >>> t.blocks()
+    ((1, 3), (2,))
     >>> Surjection(())  # the unit
     Surjection(values=())
     """
@@ -44,11 +44,11 @@ class Surjection:
     def __post_init__(self) -> None:
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
-        k = max(vals, default=0)
         if any(type(v) is not int or v < 1 for v in vals):
             raise ValueError(f"values must be positive integers, got {vals}")
-        if set(vals) != set(range(1, k + 1)):
-            missing = sorted(set(range(1, k + 1)) - set(vals))
+        k = max(vals, default=0)
+        if len(set(vals)) != k:
+            missing = min(set(range(1, len(vals) + 1)) - set(vals))
             raise ValueError(f"not surjective onto 1..{k}: missing {missing}")
 
     @property
@@ -70,12 +70,9 @@ class Surjection:
         return self.n - self.k
 
     def __call__(self, a: int) -> int:
-        assert 1 <= a <= self.n
+        if not 1 <= a <= self.n:
+            raise ValueError(f"input {a} outside 1..{self.n}")
         return self.values[a - 1]
-
-    def preimage(self, j: int) -> tuple[int, ...]:
-        """Positions mapped to vertex j, in increasing order."""
-        return tuple(a for a, v in enumerate(self.values, start=1) if v == j)
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The preimages of 1..k in turn: an ordered partition of 1..n.
@@ -207,23 +204,16 @@ def enumerate_surjections(n: int, k: int | None = None) -> list[Surjection]:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if k is not None:
-        if k == 0:
-            return [UNIT] if n == 0 else []
-        if not 1 <= k <= n:
-            return []
-        out = []
-        for vals in itertools.product(range(1, k + 1), repeat=n):
-            if len(set(vals)) == k:
-                out.append(Surjection(vals))
-        return out
-    if n == 0:
-        return [UNIT]
-    out = []
-    for kk in range(1, n + 1):
-        out.extend(enumerate_surjections(n, kk))
-    out.sort()
-    return out
+    if k is None:
+        ts = [t for kk in range(1, n + 1) for t in enumerate_surjections(n, kk)]
+        return sorted(ts) if n else [UNIT]
+    if not 0 <= k <= n:
+        return []
+    return [
+        Surjection(vals)
+        for vals in itertools.product(range(1, k + 1), repeat=n)
+        if len(set(vals)) == k
+    ]
 
 
 def count_surjections(n: int, k: int) -> int:
@@ -245,7 +235,8 @@ def compose(u: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
     >>> compose((2, 1, 3), (3, 1, 2))
     (3, 2, 1)
     """
-    assert len(u) == len(w)
+    if len(u) != len(w):
+        raise ValueError(f"words of lengths {len(u)} and {len(w)} do not compose")
     return tuple(u[x - 1] for x in w)
 
 

@@ -60,7 +60,7 @@ class LeveledTree:
     def from_json(obj: dict) -> "LeveledTree":
         if "levels" in obj:
             tr = LeveledTree(tuple(tuple(level) for level in obj["levels"]))
-            if "nested" in obj and tree_to_nested(tr) != obj["nested"]:
+            if "nested" in obj and tree_from_nested(obj["nested"]) != tr:
                 raise ValueError("levels and nested render disagree")
             return tr
         return tree_from_nested(obj["nested"])
@@ -148,7 +148,9 @@ def tree_from_nested(nested: Nested) -> LeveledTree:
     if lo != 0:
         raise ValueError(f"leftmost leaf must be 0, got {lo}")
     k = max(by_level, default=0)
-    tr = LeveledTree(tuple(tuple(by_level.get(j, ())) for j in range(1, k + 1)))
+    if len(by_level) != k:
+        raise ValueError(f"tree levels {sorted(by_level)} skip a level below {k}")
+    tr = LeveledTree(tuple(tuple(by_level[j]) for j in range(1, k + 1)))
     if tree_to_nested(tr) != nested:
         raise ValueError(f"nested tree is not in canonical form: {nested!r}")
     return tr
@@ -179,7 +181,7 @@ class ShuffleLeftComb:
     def from_json(obj: dict) -> "ShuffleLeftComb":
         if "labels" in obj:
             c = ShuffleLeftComb(tuple(tuple(level) for level in obj["labels"]))
-            if "nested" in obj and comb_to_nested(c) != obj["nested"]:
+            if "nested" in obj and comb_from_nested(obj["nested"]) != c:
                 raise ValueError("labels and nested render disagree")
             return c
         return comb_from_nested(obj["nested"])

@@ -91,9 +91,7 @@ def _plain(x):
         return x.to_json()
     if isinstance(x, QPoly):
         return str(x)
-    if isinstance(x, tuple):
-        return [_plain(v) for v in x]
-    if isinstance(x, list):
+    if isinstance(x, (tuple, list)):
         return [_plain(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _plain(v) for k, v in x.items()}

@@ -16,11 +16,35 @@ from permutads.chains import (
     homology_ranks,
     skeleton_dot,
     skeleton_edges,
-    split_sign,
+    splittings,
     vertex_coords,
 )
 from permutads.linalg import LinComb
-from permutads.surjections import Surjection, corolla
+from permutads.shuffles import sigma_of
+from permutads.surjections import (
+    Surjection,
+    corolla,
+    enumerate_surjections,
+    substitute,
+    word_sign,
+)
+
+
+def substitution_boundary(t):
+    """The defining boundary: substitute every two-level split s at vertex j
+    of t, corollas elsewhere, with sign (-1)^(prefix + |s^-1(1)|) sign(sigma_s)."""
+    sizes = t.preimage_sizes()
+    out = {}
+    for j in range(1, t.k + 1):
+        prefix = sum(size - 1 for size in sizes[: j - 1])
+        for s in enumerate_surjections(sizes[j - 1], 2):
+            parts = tuple(
+                s if l == j else corolla(size) for l, size in enumerate(sizes, start=1)
+            )
+            sign = (-1) ** (prefix + len(s.blocks()[0])) * word_sign(sigma_of(s).values)
+            face = substitute(t, parts)
+            out[face] = out.get(face, 0) + sign
+    return LinComb(out)
 
 
 def test_cells_grade_by_target_size():
@@ -50,10 +74,27 @@ def test_vertex_coordinates_are_the_words():
     assert len(coords) == 6
 
 
-def test_split_sign_pins():
+def test_splittings_pin():
     # The identity split carries the negative end of the interval.
-    assert split_sign(Surjection((1, 2))) == -1
-    assert split_sign(Surjection((2, 1))) == 1
+    assert splittings(corolla(2), 1) == [(-1, Surjection((1, 2))), (1, Surjection((2, 1)))]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_closed_form_boundary_matches_substitution(n):
+    for t in cells(n):
+        assert boundary_of_cell(t) == substitution_boundary(t), t
+
+
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in range(1, 7) for n in range(1, 7) if m + n <= 7]
+)
+def test_grafting_shapes_match_filtered_enumeration(m, n):
+    want = [
+        t
+        for t in enumerate_surjections(m + n - 2, 2)
+        if len(t.blocks()[0]) == n - 1
+    ]
+    assert grafting_shapes(m, n) == want
 
 
 def test_hexagon():
@@ -100,7 +141,7 @@ def test_homology_of_a_point(n):
 
 def test_grafting_degree_and_shape():
     shapes = grafting_shapes(3, 3)
-    assert all(t.k == 2 and len(t.preimage(1)) == 2 for t in shapes)
+    assert all(t.k == 2 and len(t.blocks()[0]) == 2 for t in shapes)
     a = corolla(2)
     b = Surjection((1, 2))
     for t in shapes:

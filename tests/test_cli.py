@@ -1,8 +1,16 @@
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
+import permutads
 from permutads.cli import main
 from permutads.verify import CHECKS
 
@@ -89,6 +97,20 @@ def test_convert_rejects_negative_shuffle_block(capsys, monkeypatch):
 def test_convert_rejects_boolean_nested_renders(capsys, monkeypatch, kind, line):
     monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
     code, out, err = run(capsys, "convert", "--from", kind, "--to", "surjection")
+    assert code == 1 and out == ""
+    assert "input line 1" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "kind, line",
+    [
+        ("tree", '{"levels": [[1]], "nested": [true, 0, 1]}'),
+        ("comb", '{"labels": [[1]], "nested": [false, 1]}'),
+    ],
+)
+def test_convert_rejects_boolean_nested_beside_levels(capsys, monkeypatch, kind, line):
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code, out, err = run(capsys, "convert", "--from", kind, "--to", kind)
     assert code == 1 and out == ""
     assert "input line 1" in json.loads(err)["error"]
 
@@ -262,6 +284,22 @@ def test_verify_all_small_bound(capsys):
     assert all(row["ok"] for row in rows)
 
 
+@pytest.mark.parametrize("bound", [0, -2])
+def test_verify_refuses_bounds_below_one(capsys, bound):
+    code, out, err = run(capsys, "verify", "all", "--max-n", str(bound))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["bound"] == bound
+
+
+def test_verify_refuses_an_env_ceiling_below_one(capsys, monkeypatch):
+    monkeypatch.setenv("PERMUTAD_MAX_N", "0")
+    code, out, err = run(capsys, "verify", "all", "--max-n", "3")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["bound"] == 0
+
+
 def test_size_bound_error_payload(capsys):
     code, out, err = run(capsys, "homology", "--n", "99")
     assert code == 1 and out == ""
@@ -304,3 +342,67 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "enum", "cells", "--n", "4")
     _, second, _ = run(capsys, "enum", "cells", "--n", "4")
     assert first == second
+
+
+def test_closed_pipe_exits_quietly():
+    # The stream (about 200 kB) outgrows the pipe buffer, so writes fail
+    # once the reader has closed its end after the first line.
+    src = str(Path(permutads.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permutads", "enum", "surjections", "--n", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+    assert json.loads(first)["values"] == [1] * 6
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 9)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+)
+_keys = st.sampled_from(
+    ["values", "n", "k", "blocks", "perm", "levels", "labels", "nested"]
+) | st.text(max_size=3)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=16,
+)
+_lines = _json.map(json.dumps) | st.text(max_size=12)
+
+
+@given(
+    kind=st.sampled_from(["surjection", "shuffle", "tree", "comb"]),
+    lines=st.lists(_lines, min_size=1, max_size=3),
+)
+def test_convert_fuzz_keeps_the_exit_contract(kind, lines):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO("\n".join(lines) + "\n")
+    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        try:
+            code = main(["convert", "--from", kind, "--to", "surjection"])
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    assert code in (0, 1)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        rows = err.getvalue().splitlines()
+        assert len(rows) == 1
+        assert isinstance(json.loads(rows[0]), dict)

@@ -77,7 +77,7 @@ def test_from_blocks_rejects_non_partitions(blocks):
 def test_basic_properties():
     t = Surjection((1, 2, 1))
     assert (t.n, t.k, t.arity, t.dim) == (3, 2, 4, 1)
-    assert t.preimage(1) == (1, 3)
+    assert t.blocks() == ((1, 3), (2,))
     assert t.preimage_sizes() == (2, 1)
     assert not t.is_permutation()
     assert t.csv_key() == "1-2-1"
@@ -121,6 +121,20 @@ def test_enumeration_counts():
 @given(surjections)
 def test_json_roundtrip(t):
     assert Surjection.from_json(json.loads(json.dumps(t.to_json()))) == t
+
+
+def test_guards_raise_value_errors():
+    with pytest.raises(ValueError):
+        Surjection((1, 2))(3)
+    with pytest.raises(ValueError):
+        compose((1, 2), (1,))
+
+
+def test_far_values_are_rejected_without_listing_the_gap():
+    # A single large value once made the error list every missing level.
+    with pytest.raises(ValueError) as exc:
+        Surjection((1, 10**5))
+    assert str(exc.value) == "not surjective onto 1..100000: missing 2"
 
 
 def test_json_declared_sizes_are_checked():

@@ -132,6 +132,12 @@ def test_tree_from_nested_rejects_non_canonical_renders(nested):
         tree_from_nested(nested)
 
 
+def test_tree_from_nested_rejects_skipped_levels_first():
+    # Checked before one (empty) gap set per level up to the marker is built.
+    with pytest.raises(ValueError, match="skip a level"):
+        tree_from_nested([10**5, 0, 1])
+
+
 def test_nested_renders_reject_booleans():
     with pytest.raises(ValueError):
         tree_from_nested([True, 0, 1])
