@@ -122,20 +122,23 @@ def double_boundary_vanishes(n: int) -> bool:
 def homology_ranks(n: int) -> tuple[int, ...]:
     """Betti numbers per dimension over the rationals.
 
-    Computed from exact ranks of the boundary families; a contractible
-    polytope gives (1, 0, .., 0).
+    Each dimension's cells are enumerated once; the f-vector is read from
+    their counts, and the rank of d on dimension d comes from
+    :func:`~permutads.linalg.span_rank` on the boundaries of those cells
+    (exact integer rows on numbered facets).  A contractible polytope gives
+    (1, 0, .., 0).
 
     >>> homology_ranks(3)
     (1, 0, 0)
     """
     if n < 1:
         raise ValueError(f"need at least one letter, got n={n}")
-    ranks = [0] * (n + 1)
-    for d in range(1, n):
-        ranks[d] = span_rank(
-            [boundary_of_cell(t) for t in cells_of_dim(n, d)]
-        )
-    fv = f_vector(n)
+    fv, ranks = [], [0] * (n + 1)
+    for d in range(n):
+        faces = cells_of_dim(n, d)
+        fv.append(len(faces))
+        if d:
+            ranks[d] = span_rank([boundary_of_cell(t) for t in faces])
     return tuple(fv[d] - ranks[d] - ranks[d + 1] for d in range(n))
 
 

@@ -22,6 +22,7 @@ or directly as the sorted tuple of block positions.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,13 +120,22 @@ class NCPoly:
 
     @staticmethod
     def from_json(data: dict) -> "NCPoly":
-        return NCPoly(
-            data["vars"],
-            tuple(
-                (tuple(t["word"]), Fraction(t["coeff"]))
-                for t in data["terms"]
-            ),
-        )
+        """Inverse of :meth:`to_json`: an int variable count, words of int
+        letters, coefficients as ints or strings ``p`` or ``p/q``."""
+        nvars = data["vars"]
+        terms = tuple((tuple(t["word"]), _coefficient(t["coeff"])) for t in data["terms"])
+        if type(nvars) is not int or any(type(a) is not int for w, _ in terms for a in w):
+            raise ValueError("variable counts and letters must be integers")
+        return NCPoly(nvars, terms)
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def _coefficient(c) -> Fraction:
+    if type(c) is int or (type(c) is str and _RATIONAL.fullmatch(c)):
+        return Fraction(c)
+    raise ValueError(f"coefficient {c!r} is not an integer or a string p or p/q")
 
 
 DERIVATION = NCPoly.var(1, 1)

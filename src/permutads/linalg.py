@@ -15,7 +15,10 @@ fraction-free elimination.
 A :class:`LinComb` maps hashable, totally ordered basis keys to nonzero
 coefficients.  A :class:`SpanBasis` keeps a row-reduced generating set with
 one pivot per row, always choosing the lowest available basis key, so ranks
-and membership tests are deterministic.
+and membership tests are deterministic; it serves membership and Q[q] ranks.
+:func:`span_rank` ranks rational families without it: keys are numbered
+once, vectors become integer rows, and rows are reduced in place on their
+highest index.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable
 
 
@@ -333,8 +337,7 @@ class SpanBasis:
     lowest keys available.
     """
 
-    def __init__(self, vectors: Iterable[LinComb] = (), key: Callable = None) -> None:
-        self._key = key if key is not None else lambda k: k
+    def __init__(self, vectors: Iterable[LinComb] = ()) -> None:
         self._rows: dict = {}
         for v in vectors:
             self.add(v)
@@ -344,12 +347,12 @@ class SpanBasis:
         return len(self._rows)
 
     def pivots(self) -> list:
-        return sorted(self._rows, key=self._key)
+        return sorted(self._rows)
 
     def reduce(self, v: LinComb) -> LinComb:
         """Eliminate against the stored rows; zero iff v lies in the span."""
         while not v.is_zero():
-            lead = min(v.keys(), key=self._key)
+            lead = min(v.keys())
             row = self._rows.get(lead)
             if row is None:
                 return v
@@ -368,7 +371,7 @@ class SpanBasis:
         rem = self.reduce(v)
         if rem.is_zero():
             return False
-        lead = min(rem.keys(), key=self._key)
+        lead = min(rem.keys())
         self._rows[lead] = _primitive(rem)
         return True
 
@@ -376,20 +379,64 @@ class SpanBasis:
         return self.reduce(v).is_zero()
 
 
-def span_rank(vectors: Iterable[LinComb], key: Callable = None) -> int:
+def span_rank(vectors: Iterable[LinComb]) -> int:
     """Exact rank of a family of combinations over the fraction field.
+
+    Rational families are ranked on numbered keys: the distinct keys are
+    numbered once in sorted order, each vector becomes an integer row
+    ``dict[int, int]`` (a Fraction row is cleared of denominators), and rows
+    are reduced in place, pivoting on their highest index.  A step replaces the row by ``a*row - b*pivot``, where b and a are
+    the leading entries of row and pivot divided by their gcd, so arithmetic
+    stays in the integers; stored pivot rows are primitive.  On the
+    permutohedron's boundary families the highest-index rule fills far less
+    than the lowest-key rule of :class:`SpanBasis`, which keeps serving
+    membership tests and Q[q] families.
 
     >>> span_rank([LinComb({1: 1, 2: -1}), LinComb({2: 1, 3: -1}),
     ...            LinComb({1: 1, 3: -1})])
     2
     """
     vectors = list(vectors)
-    domains = {
-        _domain_of(c) for v in vectors for _, c in v.terms()
-    }
+    domains = {_domain_of(c) for v in vectors for c in v._terms.values()}
     if len(domains) > 1:
         raise ValueError(f"mixed coefficient domains: {sorted(domains)}")
-    return SpanBasis(vectors, key=key).rank
+    if domains == {"q"}:
+        return SpanBasis(vectors).rank
+    index = {k: i for i, k in enumerate(sorted({k for v in vectors for k in v.keys()}))}
+    pivots: dict[int, dict[int, int]] = {}
+    for v in vectors:
+        row = _integer_row(v, index)
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = _primitive_row(row)
+                break
+            a, b = pivot[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for i in row:
+                    row[i] *= a
+            for i, c in pivot.items():
+                c = row.get(i, 0) - b * c
+                if c:
+                    row[i] = c
+                else:
+                    del row[i]
+    return len(pivots)
+
+
+def _integer_row(v: LinComb, index: dict) -> dict[int, int]:
+    """A rational vector times the lcm of its denominators, on numbered keys."""
+    scale = lcm(*(c.denominator for c in v._terms.values()))
+    return {index[k]: c.numerator * (scale // c.denominator) for k, c in v._terms.items()}
+
+
+def _primitive_row(row: dict[int, int]) -> dict[int, int]:
+    """Divide an integer row by the gcd of its entries."""
+    content = gcd(*row.values())
+    return {i: c // content for i, c in row.items()} if content > 1 else row
 
 
 def csv_triples(vectors: Iterable[LinComb], key_str: Callable = str) -> list[str]:

@@ -139,6 +139,11 @@ def test_homology_of_a_point(n):
     assert homology_ranks(n) == (1,) + (0,) * (n - 1)
 
 
+@pytest.mark.parametrize("n", [6])
+def test_homology_of_a_point_at_six_letters(n):
+    assert homology_ranks(n) == (1, 0, 0, 0, 0, 0)
+
+
 def test_grafting_degree_and_shape():
     shapes = grafting_shapes(3, 3)
     assert all(t.k == 2 and len(t.blocks()[0]) == 2 for t in shapes)

@@ -249,6 +249,27 @@ def test_asder_compose_rejects_misshapen_polynomial(capsys, outer):
     assert "--outer" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "outer",
+    [
+        '{"vars": 1.5, "terms": []}',
+        '{"vars": true, "terms": []}',
+        '{"vars": 1, "terms": [{"word": [true], "coeff": "1"}]}',
+        '{"vars": 1, "terms": [{"word": [], "coeff": Infinity}]}',
+        '{"vars": 1, "terms": [{"word": [], "coeff": 0.5}]}',
+        '{"vars": 1, "terms": [{"word": [], "coeff": "0/0"}]}',
+        '{"vars": 1, "terms": [{"word": [], "coeff": "1e9999999"}]}',
+    ],
+)
+def test_asder_compose_rejects_inexact_polynomials(capsys, outer):
+    inner = '{"vars": 1, "terms": [{"word": [], "coeff": 1}]}'
+    code, out, err = run(
+        capsys, "asder", "compose", "--outer", outer, "--inner", inner, "--block", "1"
+    )
+    assert code == 1 and out == ""
+    assert "--outer" in json.loads(err)["error"]
+
+
 def test_asder_monomial_pin(capsys):
     code, out, _ = run(capsys, "asder", "monomial", "--letters", "1,2,2", "--n", "2")
     assert code == 0
@@ -384,18 +405,15 @@ _json = st.recursive(
 _lines = _json.map(json.dumps) | st.text(max_size=12)
 
 
-@given(
-    kind=st.sampled_from(["surjection", "shuffle", "tree", "comb"]),
-    lines=st.lists(_lines, min_size=1, max_size=3),
-)
-def test_convert_fuzz_keeps_the_exit_contract(kind, lines):
+def _holds_the_exit_contract(argv, stdin_text=""):
+    """Exit 0 with an empty stderr, 1 with one JSON object on stderr, or 2."""
     out, err = io.StringIO(), io.StringIO()
-    stdin = io.StringIO("\n".join(lines) + "\n")
-    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(
-        out
-    ), contextlib.redirect_stderr(err):
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin_text)), mock.patch.dict(
+        os.environ
+    ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("PERMUTAD_MAX_N", None)
         try:
-            code = main(["convert", "--from", kind, "--to", "surjection"])
+            code = main(argv)
         except SystemExit as exc:
             assert exc.code == 2
             return
@@ -406,3 +424,86 @@ def test_convert_fuzz_keeps_the_exit_contract(kind, lines):
         rows = err.getvalue().splitlines()
         assert len(rows) == 1
         assert isinstance(json.loads(rows[0]), dict)
+
+
+@given(
+    kind=st.sampled_from(["surjection", "shuffle", "tree", "comb"]),
+    lines=st.lists(_lines, min_size=1, max_size=3),
+)
+def test_convert_fuzz_keeps_the_exit_contract(kind, lines):
+    _holds_the_exit_contract(
+        ["convert", "--from", kind, "--to", "surjection"], "\n".join(lines) + "\n"
+    )
+
+
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+_non_numeric = st.text(max_size=4).filter(lambda text: not _is_int(text))
+# Sizes run in range only up to 4, so every example stays inside the
+# default deadline; larger ones lie past every size bound.
+_sizes = (
+    st.integers(-3, 4) | st.integers(8, 10**12) | st.integers(max_value=-4)
+).map(str) | _non_numeric
+_words = st.lists(
+    st.integers(-2, 5) | st.integers(8, 10**12), max_size=4
+).map(lambda xs: ",".join(map(str, xs))) | st.text(max_size=6)
+_terms = st.fixed_dictionaries(
+    {
+        "word": st.lists(st.integers(0, 3), max_size=3) | _json,
+        "coeff": st.integers(-3, 3) | st.fractions().map(str) | _scalars,
+    }
+)
+_polynomials = st.fixed_dictionaries(
+    {
+        "vars": st.integers(0, 3) | st.integers(8, 10**12) | _scalars,
+        "terms": st.lists(_terms, max_size=3) | _json,
+    }
+).map(json.dumps) | _lines
+
+
+def _optional(flag, values):
+    return st.just([]) | values.map(lambda v: [flag, v])
+
+
+_argvs = st.one_of(
+    st.tuples(
+        st.sampled_from(["surjections", "shuffles", "trees", "combs", "cells"]),
+        _sizes,
+        _optional("--k", _sizes),
+    ).map(lambda a: ["enum", a[0], "--n", a[1], *a[2]]),
+    st.tuples(_sizes, _optional("--dim", _sizes)).map(
+        lambda a: ["boundary", "--n", a[0], *a[1]]
+    ),
+    _sizes.map(lambda n: ["homology", "--n", n]),
+    _sizes.map(lambda n: ["bruhat", "--n", n]),
+    _words.map(lambda w: ["qnormalize", "--perm", w]),
+    st.tuples(_words, _sizes).map(
+        lambda a: ["asder", "monomial", "--letters", a[0], "--n", a[1]]
+    ),
+    st.tuples(st.sampled_from(["permMag", "qPermAs", "permAsSh"]), _sizes).map(
+        lambda a: ["permutad", "dim", "--preset", a[0], "--n", a[1]]
+    ),
+    # An accepted --max-n runs every check (half a second even at 1), so
+    # only refused values are drawn; test_golden covers --max-n 4.
+    (st.integers(max_value=0).map(str) | _non_numeric).map(
+        lambda m: ["verify", "all", "--max-n", m]
+    ),
+)
+
+
+@given(_argvs)
+def test_argument_fuzz_keeps_the_exit_contract(argv):
+    _holds_the_exit_contract(argv)
+
+
+@given(_polynomials, _polynomials, st.sampled_from(["--shape", "--block"]), _words)
+def test_polynomial_fuzz_keeps_the_exit_contract(outer, inner, flag, shape):
+    _holds_the_exit_contract(
+        ["asder", "compose", "--outer", outer, "--inner", inner, flag, shape]
+    )

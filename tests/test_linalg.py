@@ -13,7 +13,7 @@ from permutads.linalg import (
     qpoly_parse,
     span_rank,
 )
-from permutads.permutad import PRESETS, ideal_vectors
+from permutads.permutad import PRESETS, ideal_vectors, specialize
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 qpolys = st.lists(rationals, max_size=5).map(lambda cs: QPoly(tuple(cs)))
@@ -138,6 +138,62 @@ def test_span_rank_is_order_invariant(order):
     ]
     shuffled = [vectors[i] for i in order]
     assert span_rank(shuffled) == 3
+
+
+def _fraction_rank(vectors):
+    """Rank by plain Gaussian elimination over Fraction, for comparison."""
+    keys = sorted({k for v in vectors for k in v.keys()})
+    rows = [[Fraction(v.get(k)) for k in keys] for v in vectors]
+    rank = 0
+    for col in range(len(keys)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+small_rationals = st.integers(-4, 4) | st.fractions(
+    min_value=-4, max_value=4, max_denominator=6
+)
+rational_vector = st.dictionaries(st.sampled_from("abcde"), small_rationals).map(LinComb)
+
+
+@st.composite
+def rational_families(draw):
+    """Combinations of a pool of at most three vectors, so most families are
+    dependent; empty families, zero vectors and repeats all occur."""
+    pool = draw(st.lists(rational_vector, max_size=3))
+    family = []
+    for _ in range(draw(st.integers(0, 6))):
+        v = LinComb()
+        for p in pool:
+            v = v + p.scale(draw(small_rationals | st.just(0)))
+        family.append(v)
+    if family and draw(st.booleans()):
+        family.append(draw(st.sampled_from(family)))
+    return family
+
+
+@given(rational_families())
+def test_span_rank_matches_fraction_elimination(vectors):
+    assert span_rank(vectors) == _fraction_rank(vectors)
+
+
+def test_span_rank_of_empty_and_zero_families():
+    assert span_rank([]) == 0
+    assert span_rank([LinComb(), LinComb({"a": 0})]) == 0
+    assert span_rank([LinComb({"a": Fraction(1, 3)})] * 3) == 1
+
+
+def test_qpermas_rank_at_minus_one():
+    gens, rels = PRESETS["qPermAs"]()
+    vectors = [specialize(v, -1) for v in ideal_vectors(rels, gens, 5)]
+    assert span_rank(vectors) == 23
 
 
 def test_span_membership_over_q():
