@@ -2,7 +2,7 @@
 
 import argparse
 
-from permutads.chains import double_boundary_vanishes, f_vector, homology_ranks
+from permutads.chains import double_boundary_vanishes, homology
 
 
 def main() -> int:
@@ -10,9 +10,8 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=5)
     args = parser.parse_args()
     for n in range(1, args.max_n + 1):
-        fv = f_vector(n)
+        fv, betti = homology(n)
         squared = "yes" if double_boundary_vanishes(n) else "NO"
-        betti = homology_ranks(n)
         print(f"n={n}  cells={sum(fv)}  f={list(fv)}  d^2=0: {squared}  betti={list(betti)}")
     return 0
 

@@ -119,17 +119,17 @@ def double_boundary_vanishes(n: int) -> bool:
     return all(linear_extend(d.__getitem__, dt).is_zero() for dt in d.values())
 
 
-def homology_ranks(n: int) -> tuple[int, ...]:
-    """Betti numbers per dimension over the rationals.
+def homology(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The f-vector and the Betti numbers over the rationals, per dimension.
 
     Each dimension's cells are enumerated once; the f-vector is read from
     their counts, and the rank of d on dimension d comes from
     :func:`~permutads.linalg.span_rank` on the boundaries of those cells
-    (exact integer rows on numbered facets).  A contractible polytope gives
-    (1, 0, .., 0).
+    (exact integer rows on numbered facets).  A contractible polytope has
+    Betti numbers (1, 0, .., 0).
 
-    >>> homology_ranks(3)
-    (1, 0, 0)
+    >>> homology(3)
+    ((6, 6, 1), (1, 0, 0))
     """
     if n < 1:
         raise ValueError(f"need at least one letter, got n={n}")
@@ -139,7 +139,16 @@ def homology_ranks(n: int) -> tuple[int, ...]:
         fv.append(len(faces))
         if d:
             ranks[d] = span_rank([boundary_of_cell(t) for t in faces])
-    return tuple(fv[d] - ranks[d] - ranks[d + 1] for d in range(n))
+    return tuple(fv), tuple(fv[d] - ranks[d] - ranks[d + 1] for d in range(n))
+
+
+def homology_ranks(n: int) -> tuple[int, ...]:
+    """Betti numbers per dimension over the rationals; see :func:`homology`.
+
+    >>> homology_ranks(3)
+    (1, 0, 0)
+    """
+    return homology(n)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -198,13 +198,8 @@ def cmd_boundary(args) -> int:
 
 def cmd_homology(args) -> int:
     _require_size(args.n, "complex", COMPLEX_BOUND)
-    _emit(
-        {
-            "n": args.n,
-            "f_vector": list(chains.f_vector(args.n)),
-            "betti": list(chains.homology_ranks(args.n)),
-        }
-    )
+    fv, betti = chains.homology(args.n)
+    _emit({"n": args.n, "f_vector": list(fv), "betti": list(betti)})
     return 0
 
 

@@ -385,9 +385,10 @@ def span_rank(vectors: Iterable[LinComb]) -> int:
     Rational families are ranked on numbered keys: the distinct keys are
     numbered once in sorted order, each vector becomes an integer row
     ``dict[int, int]`` (a Fraction row is cleared of denominators), and rows
-    are reduced in place, pivoting on their highest index.  A step replaces the row by ``a*row - b*pivot``, where b and a are
-    the leading entries of row and pivot divided by their gcd, so arithmetic
-    stays in the integers; stored pivot rows are primitive.  On the
+    are reduced in place, pivoting on their highest index.  A step replaces
+    the row by ``a*row - b*pivot``, where b and a are the leading entries of
+    row and pivot divided by their gcd, so arithmetic stays in the integers;
+    stored pivot rows are primitive.  On the
     permutohedron's boundary families the highest-index rule fills far less
     than the lowest-key rule of :class:`SpanBasis`, which keeps serving
     membership tests and Q[q] families.

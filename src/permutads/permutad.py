@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import LinComb, QPoly, SpanBasis, qpoly_parse
+from .linalg import LinComb, QPoly, SpanBasis, qpoly_parse, span_rank
 from .surjections import (
     Surjection,
     UNIT,
@@ -322,7 +322,7 @@ def ideal_component(relations, M: GeneratorSet, n: int) -> SpanBasis:
 
 
 def quotient_dim(relations, M: GeneratorSet, n: int) -> int:
-    return len(free_basis(M, n)) - ideal_component(relations, M, n).rank
+    return len(free_basis(M, n)) - span_rank(ideal_vectors(relations, M, n))
 
 
 def specialize(v: LinComb, value) -> LinComb:

@@ -79,7 +79,9 @@ def shuffle_of(t: Surjection) -> Shuffle:
 def sigma_of(t: Surjection) -> Surjection:
     """The unshuffle sigma_t, inverse of the word built by shuffle_of.
 
-    Permutations are their own unshuffle and corollas give the identity.
+    Position a at level j goes to one past every position at a lower level
+    and every earlier position at level j.  Permutations are their own
+    unshuffle and corollas give the identity.
 
     >>> sigma_of(Surjection((1, 2, 1, 1, 2))).values
     (1, 4, 2, 3, 5)
@@ -88,7 +90,12 @@ def sigma_of(t: Surjection) -> Surjection:
     """
     if t.n < 1:
         raise ValueError("sigma_of needs at least one input")
-    return Surjection(inverse(sum(t.blocks(), ())))
+    filled = list(itertools.accumulate(t.preimage_sizes(), initial=0))
+    out = []
+    for v in t.values:
+        filled[v - 1] += 1
+        out.append(filled[v - 1])
+    return Surjection._of(tuple(out), t.n)
 
 
 def surjection_of_shuffle(s: Shuffle) -> Surjection:

@@ -1,11 +1,20 @@
 """Surjective maps n -> k and their substitution calculus.
 
 A surjection is stored as its value sequence: a tuple ``values`` of length n
-with entries in 1..k such that every target value occurs.  The target size k
-is not stored; it is recovered as ``max(values)``.  The empty tuple encodes
-the unit surjection (n = 0, k = 0), which is the neutral element for
+with entries in 1..k such that every target value occurs, together with its
+target size ``k = max(values)``, set once at construction.  Equality,
+hashing, ordering and ``repr`` read ``values`` alone.  The empty tuple
+encodes the unit surjection (n = 0, k = 0), which is the neutral element for
 concatenation and the arity-1 identity once surjections are read as
 operations of arity n + 1.
+
+Validation happens once, at the boundary.  ``Surjection(values)`` and
+:meth:`Surjection.from_blocks` check their input in full, and every value
+that comes from outside (CLI, JSON, user code) goes through one of them.
+The private ``Surjection._of(values, k)`` checks nothing; it is only for
+values derived from surjections that were already validated, as in
+:func:`substitute`, :func:`concat`, :func:`enumerate_surjections` and the
+unshuffle ``shuffles.sigma_of``.
 
 Vertices are the target values 1..k, drawn as the levels of a tree with the
 inputs of vertex j sitting at the positions of ``t.values`` equal to j.  The
@@ -21,12 +30,11 @@ is the image of i.  Helpers for words live at the bottom of the module.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Surjection:
     """A surjective map from {1..n} onto {1..k}, encoded by its values.
 
@@ -40,6 +48,7 @@ class Surjection:
     """
 
     values: tuple[int, ...]
+    k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = tuple(self.values)
@@ -50,14 +59,22 @@ class Surjection:
         if len(set(vals)) != k:
             missing = min(set(range(1, len(vals) + 1)) - set(vals))
             raise ValueError(f"not surjective onto 1..{k}: missing {missing}")
+        object.__setattr__(self, "k", k)
+
+    @classmethod
+    def _of(cls, values: tuple[int, ...], k: int) -> "Surjection":
+        """Trusted constructor: values derived from validated surjections.
+
+        Nothing is checked; ``values`` must already be a tuple onto 1..k.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "values", values)
+        object.__setattr__(t, "k", k)
+        return t
 
     @property
     def n(self) -> int:
         return len(self.values)
-
-    @property
-    def k(self) -> int:
-        return max(self.values, default=0)
 
     @property
     def arity(self) -> int:
@@ -104,7 +121,7 @@ class Surjection:
                     raise ValueError(f"blocks must increase and partition 1..{n}: {blocks}")
                 values[a - 1] = j
                 prev = a
-        return Surjection(tuple(values))
+        return Surjection._of(tuple(values), len(blocks))
 
     def preimage_sizes(self) -> tuple[int, ...]:
         sizes = [0] * self.k
@@ -174,9 +191,10 @@ def substitute(t: Surjection, parts: tuple[Surjection, ...]) -> Surjection:
     counters = [0] * t.k
     out = []
     for v in t.values:
-        b = counters[v - 1] = counters[v - 1] + 1
-        out.append(offsets[v - 1] + parts[v - 1](b))
-    return Surjection(tuple(out))
+        b = counters[v - 1]
+        counters[v - 1] = b + 1
+        out.append(offsets[v - 1] + parts[v - 1].values[b])
+    return Surjection._of(tuple(out), offsets[-1])
 
 
 def concat(t: Surjection, w: Surjection) -> Surjection:
@@ -187,13 +205,17 @@ def concat(t: Surjection, w: Surjection) -> Surjection:
     >>> concat(UNIT, Surjection((1, 2))) == Surjection((1, 2))
     True
     """
-    return Surjection(t.values + tuple(v + t.k for v in w.values))
+    shift = t.k
+    return Surjection._of(t.values + tuple(v + shift for v in w.values), shift + w.k)
 
 
 def enumerate_surjections(n: int, k: int | None = None) -> list[Surjection]:
     """All surjections with n inputs, lexicographically sorted by values.
 
     With k given, only the maps onto {1..k}; otherwise every target size.
+    The words are generated directly: positions are filled left to right,
+    and once the positions left are as few as the values not yet used, only
+    unused values may follow (Knuth, TAOCP 4A, 7.2.1.5).
 
     >>> [t.values for t in enumerate_surjections(2)]
     [(1, 1), (1, 2), (2, 1)]
@@ -205,15 +227,34 @@ def enumerate_surjections(n: int, k: int | None = None) -> list[Surjection]:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if k is None:
-        ts = [t for kk in range(1, n + 1) for t in enumerate_surjections(n, kk)]
-        return sorted(ts) if n else [UNIT]
+        ts = [t for kk in range(n + 1) for t in enumerate_surjections(n, kk)]
+        ts.sort(key=lambda t: t.values)
+        return ts
     if not 0 <= k <= n:
         return []
-    return [
-        Surjection(vals)
-        for vals in itertools.product(range(1, k + 1), repeat=n)
-        if len(set(vals)) == k
-    ]
+    word = [0] * n
+    used = [False] * (k + 1)
+    out: list[Surjection] = []
+    targets = range(1, k + 1)
+
+    def extend(i: int, owed: int) -> None:
+        if i == n:
+            out.append(Surjection._of(tuple(word), k))
+            return
+        forced = n - i == owed
+        for v in targets:
+            if used[v]:
+                if not forced:
+                    word[i] = v
+                    extend(i + 1, owed)
+            else:
+                word[i] = v
+                used[v] = True
+                extend(i + 1, owed - 1)
+                used[v] = False
+
+    extend(0, k)
+    return out
 
 
 def count_surjections(n: int, k: int) -> int:

@@ -225,17 +225,20 @@ def check_unshuffle_substitution(max_n: int) -> None:
     sigma of substitute(t, parts) applies sigma_t first and then the
     unshuffles of the parts side by side, one block per vertex.
     """
+    parts_of_size = {
+        size: [(part, sigma_of(part).values) for part in enumerate_surjections(size)]
+        for size in range(1, max_n + 1)
+    }
     for n in range(1, max_n + 1):
         for t in enumerate_surjections(n):
-            part_choices = [
-                enumerate_surjections(size) for size in t.preimage_sizes()
-            ]
+            part_choices = [parts_of_size[size] for size in t.preimage_sizes()]
             sigma_t = sigma_of(t).values
-            for parts in itertools.product(*part_choices):
+            for choice in itertools.product(*part_choices):
+                parts = tuple(part for part, _ in choice)
                 lhs = sigma_of(substitute(t, parts)).values
                 blockwise: tuple[int, ...] = ()
-                for part in parts:
-                    blockwise = concat_words(blockwise, sigma_of(part).values)
+                for _, sigma in choice:
+                    blockwise = concat_words(blockwise, sigma)
                 rhs = compose(blockwise, sigma_t)
                 if lhs != rhs:
                     _fail(

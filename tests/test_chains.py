@@ -13,6 +13,7 @@ from permutads.chains import (
     double_boundary_vanishes,
     f_vector,
     grafting_shapes,
+    homology,
     homology_ranks,
     skeleton_dot,
     skeleton_edges,
@@ -137,6 +138,11 @@ def test_chain_boundary_is_linear():
 @given(st.integers(1, 5))
 def test_homology_of_a_point(n):
     assert homology_ranks(n) == (1,) + (0,) * (n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_homology_reports_the_f_vector(n):
+    assert homology(n) == (f_vector(n), homology_ranks(n))
 
 
 @pytest.mark.parametrize("n", [6])

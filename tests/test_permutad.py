@@ -161,6 +161,14 @@ def test_quotient_dims_per_preset():
     assert [quotient_dim(rels, gens, n) for n in (3, 4)] == [6, 24]
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_quotient_dim_agrees_with_the_ideal_span(preset):
+    gens, rels = PRESETS[preset]()
+    for n in range(2, 6):
+        span = ideal_component(rels, gens, n)
+        assert quotient_dim(rels, gens, n) == len(free_basis(gens, n)) - span.rank
+
+
 def test_qpermas_specializations():
     gens, rels = PRESETS["qPermAs"]()
     for value, expect in ((1, 1), (-1, 1), (2, 1)):

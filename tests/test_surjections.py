@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
+from permutads.shuffles import sigma_of
 from permutads.surjections import (
     UNIT,
     Surjection,
@@ -23,6 +25,10 @@ from permutads.surjections import (
 def standardize(vals):
     ranks = {v: i for i, v in enumerate(sorted(set(vals)), start=1)}
     return Surjection(tuple(ranks[v] for v in vals))
+
+
+def surjections_of_size(n):
+    return st.lists(st.integers(1, 9), min_size=n, max_size=n).map(standardize)
 
 
 surjections = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(standardize)
@@ -107,6 +113,59 @@ def test_concat_targets(t, w):
     assert both.n == t.n + w.n
     assert both.k == t.k + w.k
     assert concat(UNIT, t) == t == concat(t, UNIT)
+
+
+@st.composite
+def substitutions(draw):
+    t = draw(surjections)
+    parts = tuple(draw(surjections_of_size(size)) for size in t.preimage_sizes())
+    return t, parts
+
+
+def assert_valid(out):
+    """A trusted-path result is what the validating constructor would build."""
+    assert type(out.values) is tuple
+    assert out == Surjection(out.values)
+    assert out.k == max(out.values, default=0)
+
+
+@given(substitutions(), surjections, surjections)
+def test_trusted_paths_build_valid_surjections(tp, t, w):
+    assert_valid(substitute(*tp))
+    assert_valid(concat(t, w))
+    assert_valid(concat(UNIT, w))
+    assert_valid(sigma_of(t))
+    assert_valid(Surjection.from_blocks(t.blocks()))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumeration_matches_filtered_product(n):
+    for k in range(n + 1):
+        reference = [
+            vals
+            for vals in itertools.product(range(1, k + 1), repeat=n)
+            if len(set(vals)) == k
+        ]
+        got = enumerate_surjections(n, k)
+        assert [t.values for t in got] == reference
+        assert all(t.k == k for t in got)
+    values = [t.values for t in enumerate_surjections(n)]
+    assert values == sorted(values)
+    assert len(values) == sum(count_surjections(n, k) for k in range(n + 1))
+
+
+def test_k_is_stored_but_not_compared():
+    t = Surjection((1, 2))
+    other = Surjection._of((1, 2), 99)  # a deliberately wrong k
+    assert t == other and hash(t) == hash(other)
+    assert not t < other and not other < t
+    assert repr(t) == repr(other) == "Surjection(values=(1, 2))"
+    assert Surjection._of((1,), 9) < Surjection._of((2, 1), 0)
+    assert not hasattr(t, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(t, "_blocks", ())
+    with pytest.raises(TypeError):
+        Surjection(values=(1, 2), k=2)
 
 
 def test_enumeration_counts():
