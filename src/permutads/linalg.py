@@ -1,24 +1,24 @@
 """Exact linear algebra over graded bases with opaque keys.
 
-Coefficients are either rationals (int or Fraction) or elements of the
-polynomial ring in the formal parameter q with rational coefficients
-(:class:`QPoly`).  No floating point enters anywhere.  Ranks over the
-polynomial ring are ranks over its fraction field, found without leaving
-the ring.  Over Q an elimination step cross-multiplies by the two leading
-coefficients.  Over Q[q] it cross-multiplies by their cofactors after
-dividing out their gcd, then divides the remainder by the monic gcd of its
-coefficients (its content), so every row is primitive and q-degrees stay
-near those of the inputs: the primitive-part idea of Collins and Brown's
-subresultant sequences and the size control behind Bareiss's
-fraction-free elimination.
+Coefficients are rationals (int or Fraction) or polynomials in the formal
+parameter q over the rationals (:class:`QPoly`); no floating point enters.
+Ranks over Q[q] are ranks over its fraction field, found inside the ring.
 
 A :class:`LinComb` maps hashable, totally ordered basis keys to nonzero
-coefficients.  A :class:`SpanBasis` keeps a row-reduced generating set with
-one pivot per row, always choosing the lowest available basis key, so ranks
-and membership tests are deterministic; it serves membership and Q[q] ranks.
-:func:`span_rank` ranks rational families without it: keys are numbered
-once, vectors become integer rows, and rows are reduced in place on their
-highest index.
+coefficients.  Every rank and span reduces mutable ``{key: coeff}`` rows
+in place with one step, :func:`_eliminate`; a rational vector becomes an
+integer row once, on entry.  A step sets ``row = a*row - b*pivot``, where
+a and b are the two leading entries divided by their gcd (``math.gcd``
+over Z, :func:`qpoly_gcd` over Q[q]).  A row the step scaled, and every new
+pivot, is divided by its content, the gcd of its entries (monic over
+Q[q]), so pivot rows are primitive and sizes stay near those of the
+inputs: the primitive-part idea of Collins and Brown's subresultant
+sequences and the size control of Bareiss's fraction-free elimination.
+The step takes one of two pivot rules.  :class:`SpanBasis` pivots on the
+lowest key, so its pivots are those of the span's reduced echelon form in
+any insertion order, which membership callers rely on.  :func:`span_rank`
+numbers keys once and pivots on the highest index, which fills far less
+on boundary and ideal families; rank-only callers use it.
 """
 
 from __future__ import annotations
@@ -241,10 +241,6 @@ def qpoly_parse(s: str) -> QPoly:
     return QPoly(tuple(acc.get(e, Fraction(0)) for e in range(top + 1)))
 
 
-def _domain_of(c) -> str:
-    return "q" if isinstance(c, QPoly) else "rational"
-
-
 class LinComb:
     """Immutable formal linear combination; zero coefficients are dropped.
 
@@ -313,28 +309,12 @@ def linear_extend(fn: Callable, v: LinComb) -> LinComb:
     return out
 
 
-def _primitive(v: LinComb) -> LinComb:
-    """Divide a Q[q] combination by the monic gcd of its coefficients."""
-    content = QPoly(())
-    for c in v._terms.values():
-        if not isinstance(c, QPoly):
-            return v
-        content = qpoly_gcd(content, c)
-        if content.degree == 0:
-            return v
-    return v.map_coeffs(lambda c: c // content)
-
-
 class SpanBasis:
-    """Row-reduced span with one pivot row per leading key.
+    """Row-reduced span with one primitive pivot row per leading key.
 
-    A step replaces v by ``a*v - b*row``, where b and a are the leading
-    coefficients of v and the row; over Q[q] they are first divided by
-    their gcd, and the result by its content, so stored rows are primitive.
-    Only scalars of the fraction field ever multiply a vector, so ranks,
-    pivots and membership are exact and match plain cross-multiplication.
-    Insertion order never affects the rank, and pivots are always the
-    lowest keys available.
+    Rows are reduced on their lowest key, so ranks, pivots and membership
+    are deterministic and pivots are always the lowest keys available.
+    All vectors of one basis share a coefficient domain, Q or Q[q].
     """
 
     def __init__(self, vectors: Iterable[LinComb] = ()) -> None:
@@ -351,93 +331,117 @@ class SpanBasis:
 
     def reduce(self, v: LinComb) -> LinComb:
         """Eliminate against the stored rows; zero iff v lies in the span."""
-        while not v.is_zero():
-            lead = min(v.keys())
-            row = self._rows.get(lead)
-            if row is None:
-                return v
-            a, b = row.get(lead), v.get(lead)
-            if isinstance(a, QPoly) and isinstance(b, QPoly):
-                g = qpoly_gcd(a, b)
-                if g.degree > 0:
-                    a, b = a // g, b // g
-                v = _primitive(v.scale(a) - row.scale(b))
-            else:
-                v = v.scale(a) - row.scale(b)
-        return v
+        row = _row(v._terms)
+        _eliminate(row, self._rows, min)
+        return LinComb(row)
 
     def add(self, v: LinComb) -> bool:
         """Adjoin a vector; True when it enlarges the span."""
-        rem = self.reduce(v)
-        if rem.is_zero():
-            return False
-        lead = min(rem.keys())
-        self._rows[lead] = _primitive(rem)
-        return True
+        row = self.reduce(v)._terms
+        if row:
+            self._rows[min(row)] = row
+        return bool(row)
 
     def in_span(self, v: LinComb) -> bool:
         return self.reduce(v).is_zero()
 
 
 def span_rank(vectors: Iterable[LinComb]) -> int:
-    """Exact rank of a family of combinations over the fraction field.
+    """Exact rank of a family over the fraction field, Q or Q[q].
 
-    Rational families are ranked on numbered keys: the distinct keys are
-    numbered once in sorted order, each vector becomes an integer row
-    ``dict[int, int]`` (a Fraction row is cleared of denominators), and rows
-    are reduced in place, pivoting on their highest index.  A step replaces
-    the row by ``a*row - b*pivot``, where b and a are the leading entries of
-    row and pivot divided by their gcd, so arithmetic stays in the integers;
-    stored pivot rows are primitive.  On the
-    permutohedron's boundary families the highest-index rule fills far less
-    than the lowest-key rule of :class:`SpanBasis`, which keeps serving
-    membership tests and Q[q] families.
+    Keys are numbered once in sorted order and rows are reduced on their
+    highest index, which fills far less than :class:`SpanBasis`'s lowest
+    key on the boundary and ideal families.
 
     >>> span_rank([LinComb({1: 1, 2: -1}), LinComb({2: 1, 3: -1}),
     ...            LinComb({1: 1, 3: -1})])
     2
+    >>> span_rank([LinComb({"a": QPoly.q(), "b": QPoly.const(1)}),
+    ...            LinComb({"a": QPoly.q(2), "b": QPoly.q()})])
+    1
     """
     vectors = list(vectors)
-    domains = {_domain_of(c) for v in vectors for c in v._terms.values()}
-    if len(domains) > 1:
-        raise ValueError(f"mixed coefficient domains: {sorted(domains)}")
-    if domains == {"q"}:
-        return SpanBasis(vectors).rank
     index = {k: i for i, k in enumerate(sorted({k for v in vectors for k in v.keys()}))}
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, dict] = {}
     for v in vectors:
-        row = _integer_row(v, index)
-        while row:
-            lead = max(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = _primitive_row(row)
-                break
-            a, b = pivot[lead], row[lead]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                for i in row:
-                    row[i] *= a
-            for i, c in pivot.items():
-                c = row.get(i, 0) - b * c
+        row = _row({index[k]: c for k, c in v._terms.items()})
+        lead = _eliminate(row, pivots, max)
+        if lead is not None:
+            pivots[lead] = row
+    return len(pivots)
+
+
+def _row(terms: dict) -> dict:
+    """A mutable row: Q[q] entries as they are, rationals as integers."""
+    if any(isinstance(c, QPoly) for c in terms.values()):
+        if not all(isinstance(c, QPoly) for c in terms.values()):
+            raise ValueError("mixed coefficient domains")
+        return dict(terms)
+    scale = lcm(*(c.denominator for c in terms.values()))
+    return {i: c.numerator * (scale // c.denominator) for i, c in terms.items()}
+
+
+def _remove_content(row: dict) -> None:
+    """Divide a nonzero row in place by the gcd of its entries, monic over Q[q]."""
+    if type(next(iter(row.values()))) is int:
+        content = gcd(*row.values())
+        if content == 1:
+            return
+    else:
+        content = QPoly(())
+        for c in row.values():
+            content = qpoly_gcd(content, c)
+            if content.degree == 0:
+                return
+    for i, c in row.items():
+        row[i] = c // content
+
+
+_ONE = QPoly.const(1)
+
+
+def _eliminate(row: dict, pivots: dict, lead: Callable):
+    """Reduce a row in place against primitive pivot rows on ``lead(row)``.
+
+    An integer gcd takes the sign of a, so a pivot led by -1 never scales
+    the row.  Returns the leading key once no pivot owns it, with the row
+    made primitive, or None when the row reduces to zero.
+    """
+    if row and pivots:
+        first = next(iter(pivots.values()))
+        if type(next(iter(row.values()))) is not type(next(iter(first.values()))):
+            raise ValueError("mixed coefficient domains")
+    while row:
+        key = lead(row)
+        pivot = pivots.get(key)
+        if pivot is None:
+            _remove_content(row)
+            return key
+        a, b = pivot[key], row[key]
+        if type(a) is int:
+            g = gcd(a, b) if a > 0 else -gcd(a, b)
+            a, b, one = a // g, b // g, 1
+        else:
+            g, one = qpoly_gcd(a, b), _ONE
+            if g != one:
+                a, b = a // g, b // g
+        scaled = a != one
+        if scaled:
+            for i in row:
+                row[i] *= a
+        minus_b = -b
+        for i, c in pivot.items():
+            if i in row:
+                c = row[i] - b * c
                 if c:
                     row[i] = c
                 else:
                     del row[i]
-    return len(pivots)
-
-
-def _integer_row(v: LinComb, index: dict) -> dict[int, int]:
-    """A rational vector times the lcm of its denominators, on numbered keys."""
-    scale = lcm(*(c.denominator for c in v._terms.values()))
-    return {index[k]: c.numerator * (scale // c.denominator) for k, c in v._terms.items()}
-
-
-def _primitive_row(row: dict[int, int]) -> dict[int, int]:
-    """Divide an integer row by the gcd of its entries."""
-    content = gcd(*row.values())
-    return {i: c // content for i, c in row.items()} if content > 1 else row
+            else:
+                row[i] = minus_b * c
+        if scaled and row:
+            _remove_content(row)
+    return None
 
 
 def csv_triples(vectors: Iterable[LinComb], key_str: Callable = str) -> list[str]:

@@ -142,9 +142,9 @@ class Surjection:
     @staticmethod
     def from_json(obj: dict) -> "Surjection":
         t = Surjection(tuple(obj["values"]))
-        if "n" in obj and obj["n"] != t.n:
+        if "n" in obj and (type(obj["n"]) is not int or obj["n"] != t.n):
             raise ValueError(f"declared n={obj['n']} but {t.n} values given")
-        if "k" in obj and obj["k"] != t.k:
+        if "k" in obj and (type(obj["k"]) is not int or obj["k"] != t.k):
             raise ValueError(f"declared k={obj['k']} but values reach {t.k}")
         return t
 

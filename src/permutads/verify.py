@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable
 
 from . import bruhat, chains, derivations
@@ -365,9 +366,7 @@ def check_free_dimensions(max_n: int) -> None:
     magmatic, _ = PRESETS["permMag"]()
     for n in range(1, max_n + 1):
         count = len(free_basis(magmatic, n))
-        expect = 1
-        for m in range(1, n):
-            expect *= m
+        expect = factorial(n - 1)
         if count != expect:
             _fail(check="free-dimensions", preset="permMag", n=n, count=count, expect=expect)
     for n in range(2, max_n + 1):
@@ -510,11 +509,7 @@ def check_f_vectors(max_n: int) -> None:
     for n in range(2, max_n + 1):
         fv = chains.f_vector(n)
         total = len(enumerate_surjections(n))
-        facts = [0] * (n + 1)
-        facts[0] = 1
-        for m in range(1, n + 1):
-            facts[m] = facts[m - 1] * m
-        if fv[0] != facts[n] or fv[n - 2] != 2**n - 2 or fv[n - 1] != 1:
+        if fv[0] != factorial(n) or fv[n - 2] != 2**n - 2 or fv[n - 1] != 1:
             _fail(check="permutohedron-f-vectors", n=n, got=list(fv))
         if sum(fv) != total:
             _fail(check="permutohedron-f-vectors", n=n, total=sum(fv), expect=total)
@@ -607,10 +602,7 @@ def check_bruhat(max_n: int) -> None:
         _fail(check="bruhat-structure", path=bruhat.admissible_path((1, 3, 2), 1))
     for n in range(2, max_n + 1):
         connected, tree = bruhat.type1_connected(n)
-        size = 1
-        for m in range(1, n + 1):
-            size *= m
-        if not connected or len(tree) != size - 1:
+        if not connected or len(tree) != factorial(n) - 1:
             _fail(check="bruhat-structure", n=n, connected=connected, tree=len(tree))
     for n in range(2, min(max_n, 5) + 1):
         kind1 = {

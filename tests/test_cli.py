@@ -76,9 +76,18 @@ def test_convert_rejects_bad_items_with_line_numbers(capsys, monkeypatch):
     assert "input line 1" in json.loads(err)["error"]
 
 
-def test_convert_rejects_boolean_values(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"values": [true, 1]}\n'))
-    code, out, err = run(capsys, "convert", "--from", "surjection", "--to", "tree")
+@pytest.mark.parametrize(
+    "line, to",
+    [
+        pytest.param('{"values": [true, 1]}', "tree", id="value"),
+        pytest.param('{"values": [1], "n": true, "k": 1.0}', "surjection", id="n-and-k"),
+        pytest.param('{"values": [1], "n": 1.0}', "surjection", id="float-n"),
+        pytest.param('{"values": [1], "k": true}', "surjection", id="bool-k"),
+    ],
+)
+def test_convert_rejects_boolean_values(capsys, monkeypatch, line, to):
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code, out, err = run(capsys, "convert", "--from", "surjection", "--to", to)
     assert code == 1 and out == ""
     assert "input line 1" in json.loads(err)["error"]
 

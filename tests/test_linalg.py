@@ -229,6 +229,7 @@ q_vector = st.dictionaries(st.sampled_from("abc"), small_qpolys).map(LinComb)
 def test_primitive_elimination_keeps_pivots_and_membership(vectors, scalar, probes):
     basis = SpanBasis(vectors)
     assert basis.pivots() == _cross_multiplied_pivots(vectors)
+    assert span_rank(vectors) == basis.rank == len(_cross_multiplied_pivots(vectors))
     combination = LinComb()
     for i, v in enumerate(vectors):
         combination = combination + v.scale(scalar * QPoly.q(i))
@@ -244,12 +245,16 @@ def test_qpermas_pivot_rows_stay_small(n):
     gens, rels = PRESETS["qPermAs"]()
     basis = SpanBasis(ideal_vectors(rels, gens, n))
     assert basis.rank == factorial(n - 1) - 1
-    assert max(c.degree for row in basis._rows.values() for _, c in row.terms()) <= 6
+    assert max(c.degree for row in basis._rows.values() for c in row.values()) <= 6
 
 
 def test_mixed_domains_are_rejected():
     with pytest.raises(ValueError):
         span_rank([LinComb({"a": 1}), LinComb({"a": QPoly.q()})])
+    with pytest.raises(ValueError):
+        span_rank([LinComb({"a": 1, "b": QPoly.q()})])
+    with pytest.raises(ValueError):
+        SpanBasis([LinComb({"a": QPoly.q()})]).in_span(LinComb({"a": 1}))
 
 
 def test_reduce_returns_remainder():
