@@ -169,11 +169,12 @@ def cell_circ_t(a: Surjection, b: Surjection, t: Surjection) -> Surjection:
 
 def chain_circ_t(a: LinComb, b: LinComb, t: Surjection) -> LinComb:
     """Bilinear extension of :func:`cell_circ_t`."""
-    out = LinComb()
+    out: dict = {}
     for ka, ca in a.terms():
         for kb, cb in b.terms():
-            out = out + LinComb.single(cell_circ_t(ka, kb, t), ca * cb)
-    return out
+            key = cell_circ_t(ka, kb, t)
+            out[key] = out.get(key, 0) + ca * cb
+    return LinComb(out)
 
 
 def grafting_shapes(m: int, n: int) -> list[Surjection]:

@@ -5,9 +5,10 @@ object per line, boundaries also come as ``row,key,coeff`` CSV, graphs as
 DOT.  All output is deterministic, so reruns are byte-identical.  Domain
 errors produce a single JSON object on stderr and exit code 1; argument
 errors exit with 2.  The environment variable ``PERMUTAD_MAX_N`` replaces
-the per-command size bounds, which default to 6 for quotient computations
-and chain complexes and 7 elsewhere.  A reader that closes the output early
-(``| head``) ends the run with exit code 1 and nothing on stderr.
+the per-command size bounds, which default to 6 for chain complexes and for
+the permAsSh quotient, and 7 elsewhere, the permMag and qPermAs quotients
+included.  A reader that closes the output early (``| head``) ends the run
+with exit code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .trees import (
 )
 from .verify import CHECKS, bound_for, iter_checks
 
-QUOTIENT_BOUND = 6
+QUOTIENT_BOUNDS = {"permMag": 7, "qPermAs": 7, "permAsSh": 6}
 COMPLEX_BOUND = 6
 DEFAULT_BOUND = 7
 
@@ -285,8 +286,7 @@ def cmd_asder_monomial(args) -> int:
 
 
 def cmd_permutad_dim(args) -> int:
-    bound = DEFAULT_BOUND if args.preset == "permMag" else QUOTIENT_BOUND
-    _require_size(args.n, f"{args.preset} quotient", bound)
+    _require_size(args.n, f"{args.preset} quotient", QUOTIENT_BOUNDS[args.preset])
     gens, relations = PRESETS[args.preset]()
     free = len(free_basis(gens, args.n))
     dim = quotient_dim(relations, gens, args.n)

@@ -14,6 +14,11 @@ the block head i_1 would occupy if sorted into the complement; that
 choice is forced by the defining relations and the diamond law, both
 checked below.
 
+Word by word, the graft is read off directly: each word of P is spelled
+one letter at a time, its slot letter ranging over S and every other
+letter becoming its position in the complement, and Q's word, renamed
+onto S, is appended; the coefficient is the product of the two.
+
 Shapes may be given as a surjection onto two levels, as the constant
 surjection onto one level when P is unary and the block is everything,
 or directly as the sorted tuple of block positions.
@@ -228,22 +233,16 @@ def asder_compose(P: NCPoly, Q: NCPoly, t) -> NCPoly:
     S = _block_positions(t, P, Q)
     total = P.nvars + Q.nvars - 1
     complement, slot = _head_slot(S, total)
-    block_sum = NCPoly(
-        total, tuple(((s,), Fraction(1)) for s in S)
-    )
-    images = []
-    for a in range(1, P.nvars + 1):
-        if a == slot:
-            images.append(block_sum)
-        elif a < slot:
-            images.append(NCPoly.var(complement[a - 1], total))
-        else:
-            images.append(NCPoly.var(complement[a - 2], total))
-    outer = ncpoly_substitute(P, images)
-    inner = ncpoly_substitute(
-        Q, [NCPoly.var(s, total) for s in S]
-    )
-    return ncpoly_mul(outer, inner)
+    spell = [(c,) for c in complement]  # spell[a - 1]: the letters a becomes
+    spell.insert(slot - 1, S)
+    inner = [(tuple(S[b - 1] for b in wq), cq) for wq, cq in Q.terms]
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for wp, cp in P.terms:
+        for outer in itertools.product(*(spell[a - 1] for a in wp)):
+            for wq, cq in inner:
+                word = outer + wq
+                acc[word] = acc.get(word, 0) + cp * cq
+    return NCPoly(total, tuple(acc.items()))
 
 
 def asder_circ(P: NCPoly, Q: NCPoly, i: int) -> NCPoly:

@@ -303,10 +303,11 @@ class LinComb:
 
 def linear_extend(fn: Callable, v: LinComb) -> LinComb:
     """Apply a key -> LinComb map linearly."""
-    out = LinComb()
+    out: dict = {}
     for k, c in v.terms():
-        out = out + fn(k).scale(c)
-    return out
+        for key, d in fn(k)._terms.items():
+            out[key] = out.get(key, 0) + c * d
+    return LinComb(out)
 
 
 class SpanBasis:

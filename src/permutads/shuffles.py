@@ -9,8 +9,13 @@ surjection (1,2,1,1,2) the blocks are {1,3,4} and {2,5}, the shuffle is
 (1,3,4,2,5) and sigma_t = (1,4,2,3,5).
 
 Every (i_1,...,i_k)-shuffle factors uniquely into k - 1 binary shuffles,
-peeled off from the last block outward; :func:`shuffle_factorize` computes
-the factors and :func:`staged_product` multiplies them back.
+and the factors have a closed form.  Let t be the surjection of the
+shuffle and 1 <= j < k.  Factor j, counted from the outermost, is the
+shuffle of t restricted to the positions at levels up to L = k - j + 1,
+with level L kept as level 2 and every level below it merged into level 1:
+an (i_1 + ... + i_{L-1}, i_L)-shuffle.  :func:`shuffle_factorize` reads the
+factors off t that way, and :func:`staged_product` multiplies them back as
+padded words, independently of that form.
 """
 
 from __future__ import annotations
@@ -18,13 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .surjections import (
-    Surjection,
-    compose,
-    concat_words,
-    identity_word,
-    inverse,
-)
+from .surjections import Surjection, compose, concat_words, identity_word
 
 
 def _cut(perm: tuple[int, ...], sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -124,33 +123,15 @@ def staged_product(factors: list[Shuffle], blocks: tuple[int, ...]) -> Shuffle:
 def shuffle_factorize(s: Shuffle) -> list[Shuffle]:
     """The unique binary factors of a block shuffle, outermost first.
 
-    Factor j is an (i_1 + ... + i_{k-j}, i_{k-j+1})-shuffle.  Peeling: the
-    outermost factor sends the last block of positions increasingly onto the
-    image of the last block and the rest increasingly onto the complement;
-    what remains fixes the tail and recurses on one block fewer.
+    Factor j is the shuffle of the surjection of s cut down to its levels
+    up to k - j + 1, every level below that top one merged into level 1:
+    an (i_1 + ... + i_{k-j}, i_{k-j+1})-shuffle.
 
     >>> [f.perm for f in shuffle_factorize(Shuffle((1, 1, 1), (2, 3, 1)))]
     [(2, 3, 1), (1, 2)]
     """
-    factors: list[Shuffle] = []
-    blocks = s.blocks
-    word = s.perm
-    while len(blocks) > 2:
-        n = len(word)
-        last = blocks[-1]
-        image = sorted(word[n - last :])
-        complement = sorted(set(range(1, n + 1)) - set(image))
-        outer = [0] * n
-        for p, v in enumerate(complement, start=1):
-            outer[p - 1] = v
-        for p, v in enumerate(image, start=1):
-            outer[n - last + p - 1] = v
-        outer_word = tuple(outer)
-        factors.append(Shuffle((n - last, last), outer_word))
-        rest = compose(inverse(outer_word), word)
-        assert rest[n - last :] == tuple(range(n - last + 1, n + 1))
-        word = rest[: n - last]
-        blocks = blocks[:-1]
-    if len(blocks) == 2:
-        factors.append(Shuffle(blocks, word))
-    return factors
+    t = surjection_of_shuffle(s).values
+    return [
+        shuffle_of(Surjection._of(tuple(1 if v < top else 2 for v in t if v <= top), 2))
+        for top in range(len(s.blocks), 1, -1)
+    ]

@@ -6,13 +6,17 @@ numbered downward from 1.  The gap sets per level (:class:`LeveledTree`)
 and the label sets of a left comb (:class:`ShuffleLeftComb`) are both the
 ordered partition :meth:`Surjection.blocks`; they differ only in how they
 draw it, and :meth:`Surjection.from_blocks` validates and inverts both.
+Both need n >= 1: the unit surjection has no tree and no comb.
 
 Two nested-array renders are used for JSON:
 
-* leveled trees draw as ``[level, child, ...]`` nodes with integer leaves;
-  a run of gaps closing at one level becomes a single multi-input node, and
-  non-adjacent gaps of one level give several nodes carrying the same level
-  number, since one planar vertex cannot span detached strands;
+* leveled trees draw as ``[level, child, ...]`` nodes with integer leaves.
+  The node over leaves lo..hi carries the highest level L among the gaps
+  between them and splits at exactly the gaps of level L, each piece drawn
+  the same way.  So a run of gaps closing at one level becomes a single
+  multi-input node, and gaps of one level with a higher gap between them
+  give several nodes carrying the same level number, since one planar
+  vertex cannot span detached strands;
 * shuffle left combs draw as plain nested lists ``[[0, ...], ...]`` without
   level markers: vertex j of the comb (top vertex first) carries the label
   set L_j, and leaf 0 rides the topmost left edge.
@@ -40,6 +44,8 @@ class LeveledTree:
     def __post_init__(self) -> None:
         levels = tuple(tuple(sorted(level)) for level in self.levels)
         object.__setattr__(self, "levels", levels)
+        if not levels:
+            raise ValueError("a leveled tree needs at least one gap")
         Surjection.from_blocks(levels)
 
     @property
@@ -72,8 +78,6 @@ def tree_from_surjection(t: Surjection) -> LeveledTree:
     >>> tree_from_surjection(Surjection((1, 2, 1))).levels
     ((1, 3), (2,))
     """
-    if t.n < 1:
-        raise ValueError("tree_from_surjection needs at least one input")
     return LeveledTree(t.blocks())
 
 
@@ -89,68 +93,53 @@ def tree_to_nested(tr: LeveledTree) -> Nested:
     >>> tree_to_nested(tree_from_surjection(Surjection((1, 1, 2))))
     [2, [1, 0, 1, 2], 3]
     """
-    n = tr.n
-    # Strands are (lowest leaf, highest leaf, subtree), left to right.
-    strands: list[tuple[int, int, Nested]] = [(x, x, x) for x in range(n + 1)]
+    level = (0, *tree_to_surjection(tr).values)  # gap i closes at level t(i)
 
-    def strand_ending_at(leaf: int) -> int:
-        for idx, (_, hi, _) in enumerate(strands):
-            if hi == leaf:
-                return idx
-        raise AssertionError(f"no strand ends at leaf {leaf}")
+    def render(lo: int, hi: int) -> Nested:
+        if lo == hi:
+            return lo
+        top = max(level[lo + 1 : hi + 1])
+        children = []
+        for gap in range(lo + 1, hi + 1):
+            if level[gap] == top:
+                children.append(render(lo, gap - 1))
+                lo = gap
+        children.append(render(lo, hi))
+        return [top] + children  # sized exactly, unlike a list grown by append
 
-    for j, level in enumerate(tr.levels, start=1):
-        groups: list[list[int]] = []
-        for gap in level:
-            if groups and strand_ending_at(gap - 1) == strand_ending_at(groups[-1][-1] - 1) + 1:
-                groups[-1].append(gap)
-            else:
-                groups.append([gap])
-        for group in reversed(groups):
-            a = strand_ending_at(group[0] - 1)
-            b = a + len(group)
-            lo = strands[a][0]
-            hi = strands[b][1]
-            node: Nested = [j] + [s[2] for s in strands[a : b + 1]]
-            strands[a : b + 1] = [(lo, hi, node)]
-    assert len(strands) == 1
-    return strands[0][2]
+    return render(0, tr.n)
 
 
 def tree_from_nested(nested: Nested) -> LeveledTree:
     """Parse the planar render back to gap sets; exact inverse of the render.
 
-    Only the canonical render is accepted, so a parsed tree draws back to
-    its input.
+    Read left to right, each child after the first opens the next gap at
+    its node's level, and the leaves must read 0..n.  Only the canonical
+    render is accepted, so a parsed tree draws back to its input.
     """
-    by_level: dict[int, list[int]] = {}
+    gaps: list[int] = []  # gaps[i - 1] is the level of gap i
 
-    def walk(node: Nested) -> tuple[int, int]:
+    def walk(node: Nested) -> None:
         if type(node) is int:
-            return node, node
+            if node != len(gaps):
+                raise ValueError(f"leaves must read 0..n: expected {len(gaps)}, got {node}")
+            return
         if not isinstance(node, list) or len(node) < 3:
             raise ValueError(f"malformed tree node: {node!r}")
         level = node[0]
         if type(level) is not int or level < 1:
             raise ValueError(f"bad level marker in node: {node!r}")
-        lo, hi = walk(node[1])
+        walk(node[1])
         for child in node[2:]:
-            clo, chi = walk(child)
-            if clo != hi + 1:
-                raise ValueError(
-                    f"children not contiguous at level {level}: leaf {hi} then {clo}"
-                )
-            by_level.setdefault(level, []).append(hi + 1)
-            hi = chi
-        return lo, hi
+            gaps.append(level)
+            walk(child)
 
-    lo, hi = walk(nested)
-    if lo != 0:
-        raise ValueError(f"leftmost leaf must be 0, got {lo}")
-    k = max(by_level, default=0)
-    if len(by_level) != k:
-        raise ValueError(f"tree levels {sorted(by_level)} skip a level below {k}")
-    tr = LeveledTree(tuple(tuple(by_level[j]) for j in range(1, k + 1)))
+    walk(nested)
+    k = max(gaps, default=0)
+    if len(set(gaps)) != k:
+        raise ValueError(f"tree levels {sorted(set(gaps))} skip a level below {k}")
+    # Positive integers onto 1..k, checked just above.
+    tr = LeveledTree(Surjection._of(tuple(gaps), k).blocks())
     if tree_to_nested(tr) != nested:
         raise ValueError(f"nested tree is not in canonical form: {nested!r}")
     return tr
@@ -165,6 +154,8 @@ class ShuffleLeftComb:
     def __post_init__(self) -> None:
         labels = tuple(tuple(level) for level in self.labels)
         object.__setattr__(self, "labels", labels)
+        if not labels:
+            raise ValueError("a left comb needs at least one label")
         Surjection.from_blocks(labels)
 
     @property
@@ -193,8 +184,6 @@ def comb_from_surjection(t: Surjection) -> ShuffleLeftComb:
     >>> comb_from_surjection(Surjection((1, 2, 1, 1, 2))).labels
     ((1, 3, 4), (2, 5))
     """
-    if t.n < 1:
-        raise ValueError("comb_from_surjection needs at least one input")
     return ShuffleLeftComb(t.blocks())
 
 

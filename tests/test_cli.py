@@ -131,6 +131,23 @@ def test_convert_rejects_non_canonical_nested_tree(capsys, monkeypatch):
     assert "canonical" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "kind, line",
+    [
+        pytest.param("tree", '{"nested": 0}', id="tree-nested"),
+        pytest.param("tree", '{"levels": []}', id="tree-levels"),
+        pytest.param("comb", '{"labels": []}', id="comb-labels"),
+    ],
+)
+def test_convert_rejects_empty_trees_and_combs(capsys, monkeypatch, kind, line):
+    # A tree or comb has at least one input; the unit surjection has none.
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code, out, err = run(capsys, "convert", "--from", kind, "--to", "surjection")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert "input line 1" in json.loads(err)["error"]
+
+
 def test_boundary_csv_golden(capsys):
     code, out, _ = run(capsys, "boundary", "--n", "2", "--format", "csv")
     assert code == 0
@@ -304,6 +321,21 @@ def test_permutad_dim_reaches_arity_six(capsys):
     assert code == 0 and err == ""
     row = json.loads(out)
     assert (row["free_dimension"], row["dimension"]) == (120, 1)
+
+
+def test_permutad_dim_reaches_qpermas_arity_seven(capsys, monkeypatch):
+    monkeypatch.delenv("PERMUTAD_MAX_N", raising=False)
+    code, out, err = run(capsys, "permutad", "dim", "--preset", "qPermAs", "--n", "7")
+    assert code == 0 and err == ""
+    row = json.loads(out)
+    assert (row["free_dimension"], row["dimension"]) == (720, 1)
+
+
+def test_permutad_dim_keeps_permassh_at_arity_six(capsys, monkeypatch):
+    monkeypatch.delenv("PERMUTAD_MAX_N", raising=False)
+    code, out, err = run(capsys, "permutad", "dim", "--preset", "permAsSh", "--n", "7")
+    assert code == 1 and out == ""
+    assert json.loads(err)["bound"] == 6
 
 
 def test_verify_all_small_bound(capsys):

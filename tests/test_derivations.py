@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,22 @@ coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 polys = st.lists(st.tuples(words2, coeffs), max_size=4).map(
     lambda ts: NCPoly(2, tuple(ts))
 )
+
+
+def polys_in(nvars):
+    words = st.lists(st.integers(1, nvars), max_size=3) if nvars else st.just([])
+    terms = st.lists(st.tuples(words.map(tuple), coeffs), max_size=4)
+    return terms.map(lambda ts: NCPoly(nvars, tuple(ts)))
+
+
+@st.composite
+def grafts(draw):
+    """P and Q with 0..3 variables and any block S of Q's size."""
+    a = draw(st.integers(0, 3))
+    m = draw(st.integers(0, 3 if a else 0))
+    total = a + m - 1
+    S = draw(st.sampled_from(list(itertools.combinations(range(1, total + 1), m))))
+    return draw(polys_in(a)), draw(polys_in(m)), S
 
 
 def test_ncpoly_validation():
@@ -106,6 +123,37 @@ def test_shape_forms_agree():
     assert asder_compose(MU, MU, Surjection((1, 1, 2))) == asder_compose(
         MU, MU, (1, 2)
     )
+
+
+def graft_by_substitution(P, Q, S):
+    """The defining graft: the slot variable becomes the sum over S, the
+    other variables of P the complement in order, Q's variables S; the
+    outer factor multiplies on the left."""
+    total = P.nvars + Q.nvars - 1
+    complement = [p for p in range(1, total + 1) if p not in S]
+    slot = sum(1 for c in complement if c < S[0]) + 1 if S else 1
+    images = [NCPoly.var(c, total) for c in complement]
+    images.insert(slot - 1, NCPoly(total, tuple(((s,), 1) for s in S)))
+    if S:
+        inner = ncpoly_substitute(Q, [NCPoly.var(s, total) for s in S])
+    else:  # Q is a constant, read in the graft's variables
+        inner = NCPoly(total, Q.terms)
+    return ncpoly_mul(ncpoly_substitute(P, images), inner)
+
+
+@given(grafts())
+def test_compose_is_substitution(graft):
+    P, Q, S = graft
+    total = P.nvars + Q.nvars - 1
+    if total < 0:  # two constants: nothing to graft into
+        with pytest.raises(ValueError):
+            asder_compose(P, Q, S)
+        return
+    want = graft_by_substitution(P, Q, S)
+    assert asder_compose(P, Q, S) == want
+    if S:
+        shape = Surjection(tuple(1 if p in S else 2 for p in range(1, total + 1)))
+        assert asder_compose(P, Q, shape) == want
 
 
 def test_compose_shape_errors():

@@ -1,11 +1,11 @@
 """Byte-identity gate for the command-line streams.
 
 Each entry pins the sha256 digest of the stdout of one ``permutads``
-command: every enumeration kind for n = 1..5, every conversion between the
-four encodings of the n = 5 streams, the n = 5 boundaries in JSON and CSV,
-and ``verify all --max-n 4``.  A conversion reads the n = 5 enumeration
-of its source encoding.  A refactor that keeps these digests keeps
-the byte streams.
+command: every enumeration kind for n = 1..5, the leveled trees for n = 6,
+every conversion between the four encodings of the n = 5 streams, the
+n = 5 boundaries in JSON and CSV, and ``verify all --max-n 4``.  A
+conversion reads the n = 5 enumeration of its source encoding.  A refactor
+that keeps these digests keeps the byte streams.
 """
 
 import contextlib
@@ -39,6 +39,7 @@ GOLDEN = {
     "enum trees --n 3": "89435f12dd0c0755cba125192fde752b2f14bb50dbd83eee893ff0ef36c03700",
     "enum trees --n 4": "2389130e0dcf134f00e77f18239c45716b6aa8c3178e9e520a29a17c081778b6",
     "enum trees --n 5": "1c0e86c0d531a57462b4b8ada7b39163ba7799a9e9900d885059c61ceb168bbf",
+    "enum trees --n 6": "28ddd2460615df1f63c4448306c132b688f6f78e2c50191853ed56bac393b265",
     "enum combs --n 1": "30170b64ae271c69856557626a9e3718c9595a4ddeeddf7a6b3703c60bc9a518",
     "enum combs --n 2": "de21b2a95b9c4686c0f410b189c28107ede7132b17c5a3ee9b2a42521569cdbc",
     "enum combs --n 3": "bc0c715ab08111e9cc89e22b58c9c4c9052d1b43f3d0b8982040e94aed29861c",
