@@ -14,6 +14,13 @@ degree additively, which makes the whole family of complexes a
 permutad in chain complexes; the interaction of substitution with the
 boundary is the graded Leibniz rule exercised by :func:`dg_leibniz_check`.
 
+For homology and d o d = 0 the cells of each dimension are numbered once,
+in the sorted order of :func:`~permutads.surjections.enumerate_surjections`,
+and each boundary is a row ``{facet index: sign}`` written from the cell's
+values: no ``Surjection`` is built and no ``LinComb`` hashed per facet.
+The sorted numbering keeps the low fill of highest-index pivoting in
+:func:`~permutads.linalg.rank_of_rows`.
+
 Degrees and arities are offset by one throughout the package: the
 complex built from surjections with source n - 1 sits in arity n, and
 grafting a and b of arities m and n along t: (m + n - 2) ->> 2 lands in
@@ -22,9 +29,10 @@ arity m + n - 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from .linalg import LinComb, linear_extend, span_rank
+from .linalg import LinComb, linear_extend, rank_of_rows
 from .surjections import Surjection, corolla, enumerate_surjections, substitute
 
 
@@ -56,39 +64,66 @@ def f_vector(n: int) -> tuple[int, ...]:
     return tuple(len(cells_of_dim(n, d)) for d in range(n))
 
 
-def vertex_coords(n: int) -> dict[Surjection, tuple[int, ...]]:
-    """Embedding coordinates of the vertices: the word itself.
+@functools.cache
+def _splits(size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The splits of a block of this size into nonempty A then B: for each,
+    the places in the block that go to B and the parity of
+    |A| + #{a in A, b in B : a > b}.
 
-    The vertex cell for a permutation word sits at the point whose a-th
-    coordinate is the value at a, which realises the polytope as the
-    convex hull of the orbit of (1, .., n).
+    >>> _splits(2)
+    (((1,), 1), ((0,), 0))
     """
-    return {t: t.values for t in cells_of_dim(n, 0)}
+    out = []
+    for upper in itertools.product((0, 1), repeat=size):
+        if 0 < sum(upper) < size:
+            # Each place kept in A counts once, plus once per earlier place in B.
+            parity = sum(1 + sum(upper[:i]) for i, up in enumerate(upper) if not up) % 2
+            out.append((tuple(i for i, up in enumerate(upper) if up), parity))
+    return tuple(out)
+
+
+def _facets(values: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Signed facets of the cell with these values onto 1..k, as values.
+
+    Block by block: block j splits into A, kept at level j, and B, raised
+    to j + 1, while every level above j moves up one.  Block j has
+    2^|B_j| - 2 facets.
+
+    >>> _facets((1, 2, 1), 2)
+    [(-1, (1, 3, 2)), (1, (2, 3, 1))]
+    """
+    blocks: list[list[int]] = [[] for _ in range(k)]
+    for a, v in enumerate(values):
+        blocks[v - 1].append(a)
+    out = []
+    prefix = 0
+    for j, block in enumerate(blocks, start=1):
+        if len(block) < 2:
+            continue
+        base = [v + 1 if v > j else v for v in values]
+        for raised, parity in _splits(len(block)):
+            face = base.copy()
+            for i in raised:
+                face[block[i]] = j + 1
+            out.append((-1 if (prefix + parity) % 2 else 1, tuple(face)))
+        prefix += len(block) - 1
+    return out
 
 
 def splittings(t: Surjection, j: int) -> list[tuple[int, Surjection]]:
     """Signed facets splitting block j of t into (A, B), B taking level j + 1.
 
+    They are the facets of :func:`_facets` that follow the 2^|B_l| - 2
+    facets of each earlier block l.
+
     >>> [(c, u.values) for c, u in splittings(Surjection((1, 2, 1)), 1)]
     [(-1, (1, 3, 2)), (1, (2, 3, 1))]
     """
-    blocks = t.blocks()
-    block = blocks[j - 1]
-    prefix = sum(len(b) - 1 for b in blocks[: j - 1])
-    out = []
-    for upper in itertools.product((False, True), repeat=len(block)):
-        if all(upper) or not any(upper):
-            continue
-        A, B, crossings = [], [], 0
-        for a, up in zip(block, upper):
-            if up:
-                B.append(a)
-            else:
-                A.append(a)
-                crossings += len(B)
-        face = Surjection.from_blocks(blocks[: j - 1] + (tuple(A), tuple(B)) + blocks[j:])
-        out.append(((-1) ** (prefix + len(A) + crossings), face))
-    return out
+    sizes = t.preimage_sizes()
+    start = sum(2**size - 2 for size in sizes[: j - 1])
+    stop = start + 2 ** sizes[j - 1] - 2
+    facets = _facets(t.values, t.k)[start:stop]
+    return [(sign, Surjection._of(face, t.k + 1)) for sign, face in facets]
 
 
 def boundary_of_cell(t: Surjection) -> LinComb:
@@ -97,11 +132,8 @@ def boundary_of_cell(t: Surjection) -> LinComb:
     >>> [(c, u.values) for u, c in boundary_of_cell(corolla(2)).terms()]
     [(-1, (1, 2)), (1, (2, 1))]
     """
-    out: dict[Surjection, int] = {}
-    for j in range(1, t.k + 1):
-        for sign, face in splittings(t, j):
-            out[face] = out.get(face, 0) + sign
-    return LinComb(out)
+    k = t.k + 1
+    return LinComb({Surjection._of(face, k): sign for sign, face in _facets(t.values, t.k)})
 
 
 def boundary_of_top(n: int) -> LinComb:
@@ -113,32 +145,53 @@ def chain_boundary(v: LinComb) -> LinComb:
     return linear_extend(boundary_of_cell, v)
 
 
+def _numbered_complex(n: int):
+    """Per dimension from 0: the sorted cells and their boundary rows.
+
+    Row i maps each facet of cell i, by its index among the sorted cells
+    one dimension down, to its sign.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one letter, got n={n}")
+    lower: list[Surjection] = []
+    for d in range(n):
+        faces = cells_of_dim(n, d)
+        index = {u.values: i for i, u in enumerate(lower)}
+        yield faces, [{index[u]: sign for sign, u in _facets(t.values, t.k)} for t in faces]
+        lower = faces
+
+
 def double_boundary_vanishes(n: int) -> bool:
     """Check d(d(c)) = 0 on every cell of the permutohedron on n letters."""
-    d = {t: boundary_of_cell(t) for t in cells(n)}
-    return all(linear_extend(d.__getitem__, dt).is_zero() for dt in d.values())
+    below: list[dict[int, int]] = []
+    for _, rows in _numbered_complex(n):
+        for row in rows:
+            dd: dict[int, int] = {}
+            for i, sign in row.items():
+                for g, c in below[i].items():
+                    dd[g] = dd.get(g, 0) + sign * c
+            if any(dd.values()):
+                return False
+        below = rows
+    return True
 
 
 def homology(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The f-vector and the Betti numbers over the rationals, per dimension.
 
-    Each dimension's cells are enumerated once; the f-vector is read from
-    their counts, and the rank of d on dimension d comes from
-    :func:`~permutads.linalg.span_rank` on the boundaries of those cells
-    (exact integer rows on numbered facets).  A contractible polytope has
-    Betti numbers (1, 0, .., 0).
+    Each dimension's cells are enumerated and numbered once; the f-vector
+    is read from their counts, and the rank of d on dimension d comes from
+    :func:`~permutads.linalg.rank_of_rows` on the numbered boundary rows
+    of those cells.  A contractible polytope has Betti numbers (1, 0, .., 0).
 
     >>> homology(3)
     ((6, 6, 1), (1, 0, 0))
     """
-    if n < 1:
-        raise ValueError(f"need at least one letter, got n={n}")
-    fv, ranks = [], [0] * (n + 1)
-    for d in range(n):
-        faces = cells_of_dim(n, d)
+    fv, ranks = [], []
+    for faces, rows in _numbered_complex(n):
         fv.append(len(faces))
-        if d:
-            ranks[d] = span_rank([boundary_of_cell(t) for t in faces])
+        ranks.append(rank_of_rows(rows))
+    ranks.append(0)
     return tuple(fv), tuple(fv[d] - ranks[d] - ranks[d + 1] for d in range(n))
 
 
@@ -231,14 +284,15 @@ def skeleton_edges(n: int) -> list[tuple[Surjection, Surjection]]:
 
 def skeleton_dot(n: int) -> str:
     """The one-skeleton in DOT form, vertices labelled by coordinates."""
-    coords = vertex_coords(n)
 
     def node_id(t: Surjection) -> str:
         return "v" + "_".join(str(x) for x in t.values)
 
+    # A vertex sits at its word: the a-th coordinate is the value at a,
+    # so the polytope is the convex hull of the orbit of (1, .., n).
     lines = [f"graph permutohedron{n} {{"]
-    for t in sorted(coords):
-        label = " ".join(str(x) for x in coords[t])
+    for t in cells_of_dim(n, 0):
+        label = " ".join(str(x) for x in t.values)
         lines.append(f'  {node_id(t)} [label="{label}"];')
     for u, v in skeleton_edges(n):
         lines.append(f"  {node_id(u)} -- {node_id(v)};")

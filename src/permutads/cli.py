@@ -118,11 +118,12 @@ def cmd_enum(args) -> int:
     _require_size(args.n, "enumeration", DEFAULT_BOUND)
     ts = enumerate_surjections(args.n, args.k)
     if args.kind == "cells":
-        rows = [_cell_json(t) for t in sorted(ts, key=lambda t: (t.dim, t.values))]
+        ts.sort(key=lambda t: (t.dim, t.values))
+        render = _cell_json
     else:  # the plural of a convert kind
-        rows = [_TO[args.kind[:-1]](t) for t in ts]
-    for row in rows:
-        _emit(row)
+        render = _TO[args.kind[:-1]]
+    for t in ts:
+        _emit(render(t))
     return 0
 
 
@@ -151,7 +152,7 @@ def cmd_convert(args) -> int:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            t = _FROM[args.from_kind](json.loads(line))
         except json.JSONDecodeError as exc:
             raise DomainError(
                 f"malformed JSON on input line {lineno}: {exc.msg}",
@@ -159,8 +160,8 @@ def cmd_convert(args) -> int:
                 column=exc.colno,
                 position=exc.pos,
             )
-        try:
-            t = _FROM[args.from_kind](obj)
+        except RecursionError:
+            raise DomainError(f"input line {lineno} is nested too deeply", line=lineno)
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"bad {args.from_kind} on input line {lineno}: {exc}")
         _require_size(t.n, "conversion", DEFAULT_BOUND)

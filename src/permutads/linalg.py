@@ -16,9 +16,10 @@ inputs: the primitive-part idea of Collins and Brown's subresultant
 sequences and the size control of Bareiss's fraction-free elimination.
 The step takes one of two pivot rules.  :class:`SpanBasis` pivots on the
 lowest key, so its pivots are those of the span's reduced echelon form in
-any insertion order, which membership callers rely on.  :func:`span_rank`
-numbers keys once and pivots on the highest index, which fills far less
-on boundary and ideal families; rank-only callers use it.
+any insertion order, which membership callers rely on.  :func:`rank_of_rows`
+pivots on the highest index of rows already numbered, which fills far less
+on boundary and ideal families; rank-only callers use it, through
+:func:`span_rank` when the keys still need numbering.
 """
 
 from __future__ import annotations
@@ -350,9 +351,8 @@ class SpanBasis:
 def span_rank(vectors: Iterable[LinComb]) -> int:
     """Exact rank of a family over the fraction field, Q or Q[q].
 
-    Keys are numbered once in sorted order and rows are reduced on their
-    highest index, which fills far less than :class:`SpanBasis`'s lowest
-    key on the boundary and ideal families.
+    Keys are numbered once in sorted order, each vector becomes a row on
+    those numbers, and :func:`rank_of_rows` ranks the rows.
 
     >>> span_rank([LinComb({1: 1, 2: -1}), LinComb({2: 1, 3: -1}),
     ...            LinComb({1: 1, 3: -1})])
@@ -363,9 +363,22 @@ def span_rank(vectors: Iterable[LinComb]) -> int:
     """
     vectors = list(vectors)
     index = {k: i for i, k in enumerate(sorted({k for v in vectors for k in v.keys()}))}
+    return rank_of_rows(_row({index[k]: c for k, c in v._terms.items()}) for v in vectors)
+
+
+def rank_of_rows(rows: Iterable[dict]) -> int:
+    """Exact rank of rows already numbered: ``{index: coeff}`` dicts with
+    nonzero integer or Q[q] entries, all in one domain, reduced in place.
+
+    Each row is reduced on its highest index, which fills far less than
+    :class:`SpanBasis`'s lowest key on the boundary and ideal families when
+    the numbering follows the sorted order of the keys.
+
+    >>> rank_of_rows([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}, {}])
+    2
+    """
     pivots: dict[int, dict] = {}
-    for v in vectors:
-        row = _row({index[k]: c for k, c in v._terms.items()})
+    for row in rows:
         lead = _eliminate(row, pivots, max)
         if lead is not None:
             pivots[lead] = row

@@ -719,7 +719,7 @@ CHECKS: tuple[Check, ...] = (
     Check("permutohedron-f-vectors", check_f_vectors, 6, 8),
     Check("boundary-squared", check_boundary_squared, 6, 7),
     Check("boundary-pins", check_boundary_pins, None),
-    Check("homology-contractible", check_homology, 6, 6),
+    Check("homology-contractible", check_homology, 6, 7),
     Check("differential-leibniz", check_leibniz, 7, 8),
     Check("skeleton-covers", check_skeleton_covers, 5, 6),
     Check("bruhat-structure", check_bruhat, 7, 8),

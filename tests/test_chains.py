@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permutads.chains import (
+    _facets,
+    _numbered_complex,
     boundary_of_cell,
     boundary_of_top,
     cell_circ_t,
@@ -18,7 +20,6 @@ from permutads.chains import (
     skeleton_dot,
     skeleton_edges,
     splittings,
-    vertex_coords,
 )
 from permutads.linalg import LinComb
 from permutads.shuffles import sigma_of
@@ -69,21 +70,32 @@ def test_f_vector_boundary_rows(n):
     assert fv[0] == len(cells_of_dim(n, 0))
 
 
-def test_vertex_coordinates_are_the_words():
-    coords = vertex_coords(3)
-    assert coords[Surjection((2, 3, 1))] == (2, 3, 1)
-    assert len(coords) == 6
-
-
 def test_splittings_pin():
     # The identity split carries the negative end of the interval.
-    assert splittings(corolla(2), 1) == [(-1, Surjection((1, 2))), (1, Surjection((2, 1)))]
+    assert _facets((1, 1), 1) == [(-1, (1, 2)), (1, (2, 1))]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_splittings_are_the_facets_of_one_block(n):
+    for t in cells(n):
+        facets = [(c, u.values) for j in range(1, t.k + 1) for c, u in splittings(t, j)]
+        assert facets == _facets(t.values, t.k), t
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_closed_form_boundary_matches_substitution(n):
     for t in cells(n):
         assert boundary_of_cell(t) == substitution_boundary(t), t
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_numbered_rows_match_substitution(n):
+    lower = []
+    for faces, rows in _numbered_complex(n):
+        assert faces == sorted(faces)
+        for t, row in zip(faces, rows):
+            assert LinComb({lower[i]: c for i, c in row.items()}) == substitution_boundary(t), t
+        lower = faces
 
 
 @pytest.mark.parametrize(
@@ -148,6 +160,10 @@ def test_homology_reports_the_f_vector(n):
 @pytest.mark.parametrize("n", [6])
 def test_homology_of_a_point_at_six_letters(n):
     assert homology_ranks(n) == (1, 0, 0, 0, 0, 0)
+
+
+def test_homology_of_a_point_at_seven_letters():
+    assert homology_ranks(7) == (1, 0, 0, 0, 0, 0, 0)
 
 
 def test_grafting_degree_and_shape():

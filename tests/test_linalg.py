@@ -11,6 +11,7 @@ from permutads.linalg import (
     csv_triples,
     qpoly_gcd,
     qpoly_parse,
+    rank_of_rows,
     span_rank,
 )
 from permutads.permutad import PRESETS, ideal_vectors, specialize
@@ -188,6 +189,16 @@ def test_span_rank_of_empty_and_zero_families():
     assert span_rank([]) == 0
     assert span_rank([LinComb(), LinComb({"a": 0})]) == 0
     assert span_rank([LinComb({"a": Fraction(1, 3)})] * 3) == 1
+
+
+def test_rank_of_numbered_rows():
+    # Rows are consumed in place; empty rows count for nothing.
+    rows = [{0: 2, 1: -2}, {}, {1: 3, 2: -3}, {0: 1, 2: -1}, {2: 5}]
+    assert rank_of_rows(rows) == 3
+    q = QPoly.q()
+    assert rank_of_rows([{0: q, 1: QPoly.const(1)}, {0: q * q, 1: q}]) == 1
+    with pytest.raises(ValueError):
+        rank_of_rows([{0: 1}, {0: q}])
 
 
 def test_qpermas_rank_at_minus_one():

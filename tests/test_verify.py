@@ -34,6 +34,14 @@ def test_bound_for_clamps():
     assert bound_for(unsized, 99) is None
 
 
+def test_homology_reaches_seven_letters():
+    check = next(c for c in CHECKS if c.name == "homology-contractible")
+    assert bound_for(check) == 6
+    assert bound_for(check, 7) == 7
+    assert bound_for(check, 99) == 7
+    verify.check_homology(7)
+
+
 def test_run_check_reports_the_bound_used():
     unsized = next(c for c in CHECKS if c.default_n is None)
     assert run_check(unsized) is None
