@@ -19,9 +19,9 @@ class TablePlan:
 
 
 PLANS = {
-    "permMag": TablePlan("permMag", 7, 5),
-    "qPermAs": TablePlan("qPermAs", 6, 6),
-    "permAsSh": TablePlan("permAsSh", 5, 4),
+    "permMag": TablePlan("permMag", 8, 8),
+    "qPermAs": TablePlan("qPermAs", 8, 7),
+    "permAsSh": TablePlan("permAsSh", 7, 7),
 }
 
 

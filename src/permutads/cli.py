@@ -5,10 +5,9 @@ object per line, boundaries also come as ``row,key,coeff`` CSV, graphs as
 DOT.  All output is deterministic, so reruns are byte-identical.  Domain
 errors produce a single JSON object on stderr and exit code 1; argument
 errors exit with 2.  The environment variable ``PERMUTAD_MAX_N`` replaces
-the per-command size bounds, which default to 6 for chain complexes and for
-the permAsSh quotient, and 7 elsewhere, the permMag and qPermAs quotients
-included.  A reader that closes the output early (``| head``) ends the run
-with exit code 1 and nothing on stderr.
+the per-command size bounds, which default to 6 for chain complexes and 7
+elsewhere, every preset quotient included.  A reader that closes the output
+early (``| head``) ends the run with exit code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -20,13 +19,13 @@ import sys
 
 from . import bruhat, chains
 from .derivations import NCPoly, asder_compose, asder_monomial
-from .linalg import csv_triples
+from .linalg import csv_triples, span_rank
 from .permutad import (
     DecoratedSurjection,
     PRESETS,
     free_basis,
+    ideal_vectors,
     qpermas_normalize,
-    quotient_dim,
 )
 from .shuffles import Shuffle, shuffle_of, surjection_of_shuffle
 from .surjections import Surjection, enumerate_surjections
@@ -40,7 +39,6 @@ from .trees import (
 )
 from .verify import CHECKS, bound_for, iter_checks
 
-QUOTIENT_BOUNDS = {"permMag": 7, "qPermAs": 7, "permAsSh": 6}
 COMPLEX_BOUND = 6
 DEFAULT_BOUND = 7
 
@@ -287,10 +285,10 @@ def cmd_asder_monomial(args) -> int:
 
 
 def cmd_permutad_dim(args) -> int:
-    _require_size(args.n, f"{args.preset} quotient", QUOTIENT_BOUNDS[args.preset])
+    _require_size(args.n, f"{args.preset} quotient", DEFAULT_BOUND)
     gens, relations = PRESETS[args.preset]()
     free = len(free_basis(gens, args.n))
-    dim = quotient_dim(relations, gens, args.n)
+    dim = free - span_rank(ideal_vectors(relations, gens, args.n))
     _emit(
         {
             "preset": args.preset,

@@ -2,21 +2,23 @@
 
 Coefficients are rationals (int or Fraction) or polynomials in the formal
 parameter q over the rationals (:class:`QPoly`); no floating point enters.
-Ranks over Q[q] are ranks over its fraction field, found inside the ring.
+Ranks over Q[q] are ranks over its fraction field, found inside Z[q].
 
 A :class:`LinComb` maps hashable, totally ordered basis keys to nonzero
 coefficients.  Every rank and span reduces mutable ``{key: coeff}`` rows
-in place with one step, :func:`_eliminate`; a rational vector becomes an
-integer row once, on entry.  A step sets ``row = a*row - b*pivot``, where
-a and b are the two leading entries divided by their gcd (``math.gcd``
-over Z, :func:`qpoly_gcd` over Q[q]).  A row the step scaled, and every new
-pivot, is divided by its content, the gcd of its entries (monic over
-Q[q]), so pivot rows are primitive and sizes stay near those of the
-inputs: the primitive-part idea of Collins and Brown's subresultant
-sequences and the size control of Bareiss's fraction-free elimination.
-The step takes one of two pivot rules.  :class:`SpanBasis` pivots on the
-lowest key, so its pivots are those of the span's reduced echelon form in
-any insertion order, which membership callers rely on.  :func:`rank_of_rows`
+in place with one step, :func:`_eliminate`.  A vector becomes a row once,
+on entry, with its denominators cleared: a rational vector an integer row,
+a Q[q] vector a row over Z[q] with tuples of ints as entries; that scales
+it by a constant, so pivots and ranks are those over Q[q].  A step sets
+``row = a*row - b*pivot``, where a and b are the two leading entries
+divided by their gcd (``math.gcd`` over Z, :func:`_gcd` over Z[q]).  A row
+the step scaled, and every new pivot, is divided by its content, the gcd
+of its entries, so pivot rows are primitive and sizes stay near those of
+the inputs: fraction-free elimination in the manner of Bareiss, with the
+primitive parts of Collins and Brown's subresultant sequences.  The step
+takes one of two pivot rules.  :class:`SpanBasis` pivots on the lowest
+key, so its pivots are those of the span's reduced echelon form in any
+insertion order, which membership callers rely on.  :func:`rank_of_rows`
 pivots on the highest index of rows already numbered, which fills far less
 on boundary and ideal families; rank-only callers use it, through
 :func:`span_rank` when the keys still need numbering.
@@ -24,7 +26,6 @@ on boundary and ideal families; rank-only callers use it, through
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -49,15 +50,6 @@ class QPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    @staticmethod
-    def _of(cs: list) -> "QPoly":
-        """Build from a list of Fractions, trimming zeros, without converting."""
-        while cs and not cs[-1]:
-            cs.pop()
-        p = object.__new__(QPoly)
-        object.__setattr__(p, "coeffs", tuple(cs))
-        return p
 
     @staticmethod
     def const(x) -> "QPoly":
@@ -91,12 +83,12 @@ class QPoly:
         for i, c in enumerate(shorter):
             if c:
                 out[i] += c
-        return QPoly._of(out)
+        return QPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly._of([-c for c in self.coeffs])
+        return QPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerced(other)
@@ -104,60 +96,21 @@ class QPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
         if not self or not other:
-            return QPoly._of([])
+            return QPoly(())
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         right = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in right:
                     out[i + j] += a * b
-        return QPoly._of(out)
+        return QPoly(out)
 
     __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        """Euclidean division: ``self == quot * other + rem``, ``rem.degree < other.degree``.
-
-        >>> divmod(QPoly.q(2) - QPoly.const(1), QPoly.q() - QPoly.const(1))
-        (QPoly(coeffs=(Fraction(1, 1), Fraction(1, 1))), QPoly(coeffs=()))
-        """
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("QPoly division by zero")
-        rem = list(self.coeffs)
-        top = other.degree
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - top, 0)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + top] / lead
-            quot[i] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return QPoly._of(quot), QPoly._of(rem[:top])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self) -> "QPoly":
-        """Scale to leading coefficient one; zero stays zero."""
-        if not self:
-            return self
-        lead = self.coeffs[-1]
-        return QPoly._of([c / lead for c in self.coeffs])
 
     def evaluate(self, x) -> Fraction:
         """Specialize q to a rational value."""
@@ -186,60 +139,6 @@ class QPoly:
             else:
                 pieces.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(pieces)
-
-
-def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic greatest common divisor, by Euclid; ``qpoly_gcd(0, 0)`` is 0.
-
-    A monomial c*q^k shortcuts Euclid: its gcd with p is q^min(k, ord p).
-
-    >>> print(qpoly_gcd(QPoly.q(2) - QPoly.const(1), QPoly.q(2) - QPoly.q()))
-    q - 1
-    >>> print(qpoly_gcd(QPoly.q(3) - QPoly.q(2), QPoly.const(-2) * QPoly.q(4)))
-    q^2
-    """
-    if b and not any(b.coeffs[:-1]):
-        a, b = b, a
-    if a and not any(a.coeffs[:-1]):
-        low = a.degree
-        for i, c in enumerate(b.coeffs[:low]):
-            if c:
-                low = i
-                break
-        return QPoly.q(low)
-    while b:
-        a, b = b, a % b
-    return a.monic()
-
-
-_QPOLY_TERM = re.compile(r"^(-)?(?:(\d+(?:/\d+)?)\*?)?(?:q(?:\^(\d+))?)?$")
-
-
-def qpoly_parse(s: str) -> QPoly:
-    """Parse the string form written by QPoly.__str__.
-
-    >>> qpoly_parse("q^2 - q") == QPoly.q(2) - QPoly.q()
-    True
-    >>> qpoly_parse("-1/2")
-    QPoly(coeffs=(Fraction(-1, 2),))
-    """
-    text = s.strip()
-    if text == "0":
-        return QPoly(())
-    pieces = text.replace(" - ", " + -").split(" + ")
-    acc: dict[int, Fraction] = {}
-    for piece in pieces:
-        m = _QPOLY_TERM.match(piece.strip())
-        if not m or (m.group(2) is None and "q" not in piece):
-            raise ValueError(f"cannot parse polynomial term {piece!r} in {s!r}")
-        sign = -1 if m.group(1) else 1
-        mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-        exponent = 0
-        if "q" in piece:
-            exponent = int(m.group(3)) if m.group(3) else 1
-        acc[exponent] = acc.get(exponent, Fraction(0)) + sign * mag
-    top = max(acc)
-    return QPoly(tuple(acc.get(e, Fraction(0)) for e in range(top + 1)))
 
 
 class LinComb:
@@ -316,7 +215,8 @@ class SpanBasis:
 
     Rows are reduced on their lowest key, so ranks, pivots and membership
     are deterministic and pivots are always the lowest keys available.
-    All vectors of one basis share a coefficient domain, Q or Q[q].
+    All vectors of one basis share a coefficient domain, Q or Q[q]; the
+    stored rows are over Z or Z[q].
     """
 
     def __init__(self, vectors: Iterable[LinComb] = ()) -> None:
@@ -332,14 +232,19 @@ class SpanBasis:
         return sorted(self._rows)
 
     def reduce(self, v: LinComb) -> LinComb:
-        """Eliminate against the stored rows; zero iff v lies in the span."""
+        """Eliminate against the stored rows; zero iff v lies in the span.
+
+        The remainder is a primitive multiple of the reduced vector, with
+        integer or :class:`QPoly` coefficients.
+        """
         row = _row(v._terms)
         _eliminate(row, self._rows, min)
-        return LinComb(row)
+        return LinComb({k: QPoly(c) if type(c) is tuple else c for k, c in row.items()})
 
     def add(self, v: LinComb) -> bool:
         """Adjoin a vector; True when it enlarges the span."""
-        row = self.reduce(v)._terms
+        # Through reduce, so perfbench's traced remainders include stored rows.
+        row = _row(self.reduce(v)._terms)
         if row:
             self._rows[min(row)] = row
         return bool(row)
@@ -367,8 +272,9 @@ def span_rank(vectors: Iterable[LinComb]) -> int:
 
 
 def rank_of_rows(rows: Iterable[dict]) -> int:
-    """Exact rank of rows already numbered: ``{index: coeff}`` dicts with
-    nonzero integer or Q[q] entries, all in one domain, reduced in place.
+    """Exact rank of rows already numbered, reduced in place: ``{index:
+    coeff}`` dicts with nonzero entries all in Z (ints) or all in Z[q]
+    (tuples of ints, the coefficient of q^i at i, last entry nonzero).
 
     Each row is reduced on its highest index, which fills far less than
     :class:`SpanBasis`'s lowest key on the boundary and ideal families when
@@ -386,32 +292,33 @@ def rank_of_rows(rows: Iterable[dict]) -> int:
 
 
 def _row(terms: dict) -> dict:
-    """A mutable row: Q[q] entries as they are, rationals as integers."""
-    if any(isinstance(c, QPoly) for c in terms.values()):
-        if not all(isinstance(c, QPoly) for c in terms.values()):
+    """A mutable row with denominators cleared: rationals become ints,
+    Q[q] entries tuples of ints."""
+    values = terms.values()
+    if any(isinstance(c, QPoly) for c in values):
+        if not all(isinstance(c, QPoly) for c in values):
             raise ValueError("mixed coefficient domains")
-        return dict(terms)
-    scale = lcm(*(c.denominator for c in terms.values()))
+        scale = lcm(*(x.denominator for c in values for x in c.coeffs))
+        return {
+            i: tuple(x.numerator * (scale // x.denominator) for x in c.coeffs)
+            for i, c in terms.items()
+        }
+    scale = lcm(*(c.denominator for c in values))
     return {i: c.numerator * (scale // c.denominator) for i, c in terms.items()}
 
 
 def _remove_content(row: dict) -> None:
-    """Divide a nonzero row in place by the gcd of its entries, monic over Q[q]."""
+    """Divide a nonzero row in place by the gcd of its entries."""
     if type(next(iter(row.values()))) is int:
         content = gcd(*row.values())
-        if content == 1:
-            return
-    else:
-        content = QPoly(())
-        for c in row.values():
-            content = qpoly_gcd(content, c)
-            if content.degree == 0:
-                return
-    for i, c in row.items():
-        row[i] = c // content
-
-
-_ONE = QPoly.const(1)
+        if content != 1:
+            for i, c in row.items():
+                row[i] = c // content
+        return
+    content = _gcd(row.values())
+    if content != (1,):
+        for i, c in row.items():
+            row[i] = _div(c, content)
 
 
 def _eliminate(row: dict, pivots: dict, lead: Callable):
@@ -421,26 +328,24 @@ def _eliminate(row: dict, pivots: dict, lead: Callable):
     the row.  Returns the leading key once no pivot owns it, with the row
     made primitive, or None when the row reduces to zero.
     """
-    if row and pivots:
-        first = next(iter(pivots.values()))
-        if type(next(iter(row.values()))) is not type(next(iter(first.values()))):
-            raise ValueError("mixed coefficient domains")
+    if not row:
+        return None
+    domain = type(next(iter(row.values())))
+    if pivots and domain is not type(next(iter(next(iter(pivots.values())).values()))):
+        raise ValueError("mixed coefficient domains")
     while row:
         key = lead(row)
         pivot = pivots.get(key)
         if pivot is None:
             _remove_content(row)
             return key
+        if domain is tuple:
+            _step_zq(row, pivot, key)
+            continue
         a, b = pivot[key], row[key]
-        if type(a) is int:
-            g = gcd(a, b) if a > 0 else -gcd(a, b)
-            a, b, one = a // g, b // g, 1
-        else:
-            g, one = qpoly_gcd(a, b), _ONE
-            if g != one:
-                a, b = a // g, b // g
-        scaled = a != one
-        if scaled:
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
             for i in row:
                 row[i] *= a
         minus_b = -b
@@ -453,9 +358,131 @@ def _eliminate(row: dict, pivots: dict, lead: Callable):
                     del row[i]
             else:
                 row[i] = minus_b * c
-        if scaled and row:
+        if a != 1 and row:
             _remove_content(row)
     return None
+
+
+def _step_zq(row: dict, pivot: dict, key) -> None:
+    """The step of :func:`_eliminate` over Z[q]: the gcd takes the sign of
+    a's leading coefficient, so a pivot led by -q^k never scales the row."""
+    a, b = pivot[key], row[key]
+    g = _gcd((a, b))
+    if a[-1] < 0:
+        g = tuple(-x for x in g)
+    if g != (1,):
+        a, b = _div(a, g), _div(b, g)
+    if a != (1,):
+        for i, c in row.items():
+            row[i] = _mul(c, a)
+    minus_b = tuple(-x for x in b)
+    for i, c in pivot.items():
+        if i in row:
+            c = _sub(row[i], _mul(b, c))
+            if c:
+                row[i] = c
+            else:
+                del row[i]
+        else:
+            row[i] = _mul(minus_b, c)
+    if a != (1,) and row:
+        _remove_content(row)
+
+
+# ---------------------------------------------------------------------------
+# Z[q] arithmetic on nonzero tuples of ints, the coefficient of q^i at i.
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    if len(b) == 1:
+        c = b[0]
+        return tuple(x * c for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def _sub(a: tuple, b: tuple) -> tuple:
+    """a - b with trailing zeros trimmed; () is zero."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _div(a: tuple, g: tuple) -> tuple:
+    """The exact quotient a / g, for g dividing a."""
+    if len(g) == 1:
+        d = g[0]
+        return tuple(x // d for x in a)
+    rem = list(a)
+    top, lead = len(g) - 1, g[-1]
+    quot = [0] * (len(a) - top)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rem[i + top] // lead
+        if c:
+            for j, y in enumerate(g, i):
+                rem[j] -= c * y
+    return tuple(quot)
+
+
+def _gcd(polys) -> tuple:
+    """The gcd of nonzero polynomials, with a positive leading coefficient.
+
+    By Gauss's lemma it is the gcd of all their integer coefficients, times
+    q to their lowest order, times the gcd of their primitive parts with
+    the powers of q divided out, which Euclid finds on primitive
+    pseudo-remainders, stopping at a constant.
+
+    >>> _gcd([(-1, 0, 1), (0, -1, 1)])        # q^2 - 1 and q^2 - q
+    (-1, 1)
+    >>> _gcd([(0, 0, -6, 6), (0, 0, 0, 0, 4)])  # -6q^2(1 - q) and 4q^4
+    (0, 0, 2)
+    """
+    polys = tuple(polys)
+    orders = [next(i for i, x in enumerate(p) if x) for p in polys]
+    content = gcd(*(x for p in polys for x in p))
+    common = None
+    for p, low in zip(polys, orders):
+        p = _primitive(p[low:])
+        common = p if common is None else _primitive_gcd(common, p)
+        if len(common) == 1:
+            break
+    return (0,) * min(orders) + tuple(content * x for x in common)
+
+
+def _primitive(p: tuple) -> tuple:
+    """p over the gcd of its coefficients, leading coefficient positive."""
+    c = gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    return p if c == 1 else tuple(x // c for x in p)
+
+
+def _primitive_gcd(a: tuple, b: tuple) -> tuple:
+    """The gcd of primitive a and b by Euclid on primitive pseudo-remainders."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = list(a)
+        top, lead = len(b) - 1, b[-1]
+        for i in range(len(rem) - 1 - top, -1, -1):
+            c = rem[i + top]
+            if c:
+                rem = [x * lead for x in rem]
+                for j, y in enumerate(b, i):
+                    rem[j] -= c * y
+        del rem[top:]
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            return b
+        a, b = b, _primitive(tuple(rem))
+    return (1,)
 
 
 def csv_triples(vectors: Iterable[LinComb], key_str: Callable = str) -> list[str]:

@@ -10,8 +10,8 @@ vertex of an outer surjection; partial compositions are the two-vertex
 special case, with the second operand placed at vertex 1 (the lower level
 block of the result).  Quotients are handled degree-wise: the arity-n
 component of the ideal generated by homogeneous relations is spanned by all
-gamma composites with exactly one slot fed by a relation, every other slot
-fed by a free basis element.
+gamma composites with exactly one vertex fed by a relation, every other
+vertex fed by a generator.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import LinComb, QPoly, SpanBasis, qpoly_parse, span_rank
+from .linalg import LinComb, QPoly, span_rank
 from .surjections import (
     Surjection,
     UNIT,
@@ -249,76 +249,44 @@ def free_basis(M: GeneratorSet, n: int) -> list[DecoratedSurjection]:
 # ---------------------------------------------------------------------------
 # Relations, ideals, quotients.
 
-def relation_to_json(rel: LinComb) -> list[dict]:
-    return [
-        {"coefficient": str(c), "element": d.to_json()} for d, c in rel.terms()
-    ]
-
-
-def relation_from_json(obj: list[dict]) -> LinComb:
-    acc = LinComb()
-    for pair in obj:
-        raw = pair["coefficient"]
-        try:
-            coeff = Fraction(raw)
-        except ValueError:
-            coeff = qpoly_parse(raw)
-        acc = acc + LinComb.single(
-            DecoratedSurjection.from_json(pair["element"]), coeff
-        )
-    # Plain constants parse as rationals; keep one coefficient domain.
-    if _uses_q([acc]):
-        acc = _to_q([acc])[0]
-    return acc
-
-
-def _uses_q(vectors) -> bool:
-    return any(isinstance(c, QPoly) for v in vectors for _, c in v.terms())
-
-
-def _to_q(vectors) -> list[LinComb]:
-    return [
-        v.map_coeffs(lambda c: c if isinstance(c, QPoly) else QPoly.const(c))
-        for v in vectors
-    ]
-
-
 def ideal_vectors(relations, M: GeneratorSet, n: int) -> list[LinComb]:
     """Spanning vectors of the arity-n ideal component, in deterministic order.
 
-    One slot of each outer shape receives a relation, the rest free basis
-    elements; nested composites are covered by associativity of gamma.
+    Each vector is a composite gamma(t; g, ..., r, ..., g) with a relation r
+    at one vertex of t and a generator g at every other vertex: the
+    tree-monomial spanning set of an operadic ideal.  Free basis elements in
+    the other vertices would add nothing, since by associativity of gamma
+    such a composite is again one of these.  Each vector is written straight
+    from the terms of r substituted at its vertex.
     """
-    basis_cache: dict[int, list[DecoratedSurjection]] = {}
-
-    def basis(a: int) -> list[DecoratedSurjection]:
-        if a not in basis_cache:
-            basis_cache[a] = free_basis(M, a)
-        return basis_cache[a]
-
+    if any(isinstance(c, QPoly) for rel in relations for _, c in rel.terms()):
+        relations = [
+            rel.map_coeffs(lambda c: c if isinstance(c, QPoly) else QPoly.const(c))
+            for rel in relations
+        ]
     vectors: list[LinComb] = []
     for rel in relations:
         r_arity = arity_of(rel)
+        terms = rel.terms()
         for t in enumerate_surjections(n - 1):
             sizes = t.preimage_sizes()
+            pools = [M.names_of_arity(size + 1) for size in sizes]
             for hot in range(t.k):
-                if sizes[hot] + 1 != r_arity:
+                others = pools[:hot] + pools[hot + 1:]
+                if sizes[hot] + 1 != r_arity or not all(others):
                     continue
-                pools = [
-                    [rel] if j == hot else basis(sizes[j] + 1)
-                    for j in range(t.k)
-                ]
-                if any(not pool for pool in pools):
-                    continue
-                for slots in itertools.product(*pools):
-                    vectors.append(gamma(t, list(slots)))
-    if _uses_q(vectors):
-        vectors = _to_q(vectors)
+                parts = [corolla(size) for size in sizes]
+                images = []
+                for d, c in terms:
+                    parts[hot] = d.t
+                    images.append((substitute(t, tuple(parts)), d.decorations, c))
+                for names in itertools.product(*others):
+                    before, after = names[:hot], names[hot:]
+                    vectors.append(LinComb({
+                        DecoratedSurjection(flat, before + decorations + after): c
+                        for flat, decorations, c in images
+                    }))
     return vectors
-
-
-def ideal_component(relations, M: GeneratorSet, n: int) -> SpanBasis:
-    return SpanBasis(ideal_vectors(relations, M, n))
 
 
 def quotient_dim(relations, M: GeneratorSet, n: int) -> int:

@@ -357,11 +357,16 @@ def test_permutad_dim_reaches_qpermas_arity_seven(capsys, monkeypatch):
     assert (row["free_dimension"], row["dimension"]) == (720, 1)
 
 
-def test_permutad_dim_keeps_permassh_at_arity_six(capsys, monkeypatch):
+def test_permutad_dim_reaches_permassh_at_arity_seven(capsys, monkeypatch):
     monkeypatch.delenv("PERMUTAD_MAX_N", raising=False)
-    code, out, err = run(capsys, "permutad", "dim", "--preset", "permAsSh", "--n", "7")
+    code, out, _ = run(capsys, "permutad", "dim", "--preset", "permAsSh", "--n", "7")
+    assert code == 0
+    assert json.loads(out) == {
+        "preset": "permAsSh", "arity": 7, "free_dimension": 46080, "dimension": 5040,
+    }
+    code, out, err = run(capsys, "permutad", "dim", "--preset", "permAsSh", "--n", "8")
     assert code == 1 and out == ""
-    assert json.loads(err)["bound"] == 6
+    assert json.loads(err)["bound"] == 7
 
 
 def test_verify_all_small_bound(capsys):

@@ -8,9 +8,10 @@ from permutads.linalg import (
     LinComb,
     QPoly,
     SpanBasis,
+    _div,
+    _gcd,
+    _mul,
     csv_triples,
-    qpoly_gcd,
-    qpoly_parse,
     rank_of_rows,
     span_rank,
 )
@@ -18,10 +19,6 @@ from permutads.permutad import PRESETS, ideal_vectors, specialize
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 qpolys = st.lists(rationals, max_size=5).map(lambda cs: QPoly(tuple(cs)))
-monomials = st.tuples(rationals, st.integers(0, 4)).map(
-    lambda ce: QPoly.const(ce[0]) * QPoly.q(ce[1])
-)
-polys = qpolys | monomials
 
 
 def test_qpoly_normalizes_trailing_zeros():
@@ -47,35 +44,28 @@ def test_qpoly_evaluation_is_a_homomorphism(p, x):
     assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
 
 
-@given(polys, polys)
-def test_qpoly_division_with_remainder(a, b):
-    if not b:
-        with pytest.raises(ZeroDivisionError):
-            divmod(a, b)
-        return
-    quot, rem = divmod(a, b)
-    assert a == quot * b + rem
-    assert rem.degree < b.degree
+zq_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=5).filter(
+    lambda cs: cs[-1] != 0
+).map(tuple)
 
 
-@given(polys, polys, polys)
-def test_qpoly_gcd_is_monic_and_divides_both(a, b, c):
-    g = qpoly_gcd(a, b)
-    if not a and not b:
-        assert g == QPoly(())
-        return
-    assert g.coeffs[-1] == 1
-    assert a % g == QPoly(()) and b % g == QPoly(())
-    if c:
-        assert qpoly_gcd(a * c, b * c) == g * c.monic()
+@given(zq_polys, zq_polys, zq_polys)
+def test_zq_gcd_divides_both(a, b, c):
+    g = _gcd([a, b])
+    assert g[-1] > 0
+    assert _mul(_div(a, g), g) == a and _mul(_div(b, g), g) == b
+    # gcd(ac, bc) is gcd(a, b) times c, up to sign.
+    assert _gcd([_mul(a, c), _mul(b, c)]) in (_mul(g, c), _mul(g, tuple(-x for x in c)))
 
 
-def test_qpoly_gcd_pins():
-    x = QPoly.q() - QPoly.const(1)
-    assert qpoly_gcd(x * x, x * (QPoly.q() + QPoly.const(1))) == x
-    assert qpoly_gcd(QPoly.const(3), x) == QPoly.const(1)
-    assert qpoly_gcd(QPoly.q(3), QPoly.q(5) - QPoly.q(2)) == QPoly.q(2)
-    assert qpoly_gcd(QPoly(()), QPoly.const(-2) * x) == x
+def test_zq_gcd_pins():
+    x = (-1, 1)  # q - 1
+    assert _gcd([_mul(x, x), _mul(x, (1, 1))]) == x
+    assert _gcd([(3,), x]) == (1,)
+    assert _gcd([(6,), (-4, 0, 2)]) == (2,)
+    assert _gcd([(0, 0, 0, 1), (0, 0, -1, 0, 0, 1)]) == (0, 0, 1)
+    assert _gcd([(0, 0, -2), _mul((0, 0, -2), x)]) == (0, 0, 2)
+    assert _div((0, 0, -2, 2), (0, 0, 2)) == x
 
 
 def test_qpoly_str_pins():
@@ -83,18 +73,6 @@ def test_qpoly_str_pins():
     assert str(QPoly.q(2) + 4 * QPoly.q() + QPoly.const(4)) == "q^2 + 4*q + 4"
     assert str(QPoly.q() - QPoly.const(1)) == "q - 1"
     assert str(QPoly.const(Fraction(-1, 2)) * QPoly.q(3)) == "-1/2*q^3"
-
-
-@given(qpolys)
-def test_qpoly_parse_roundtrip(p):
-    assert qpoly_parse(str(p)) == p
-
-
-def test_qpoly_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        qpoly_parse("q + pear")
-    with pytest.raises(ValueError):
-        qpoly_parse("")
 
 
 def test_lincomb_drops_zeros():
@@ -195,10 +173,10 @@ def test_rank_of_numbered_rows():
     # Rows are consumed in place; empty rows count for nothing.
     rows = [{0: 2, 1: -2}, {}, {1: 3, 2: -3}, {0: 1, 2: -1}, {2: 5}]
     assert rank_of_rows(rows) == 3
-    q = QPoly.q()
-    assert rank_of_rows([{0: q, 1: QPoly.const(1)}, {0: q * q, 1: q}]) == 1
+    # Z[q] entries are coefficient tuples: q is (0, 1).
+    assert rank_of_rows([{0: (0, 1), 1: (1,)}, {0: (0, 0, 1), 1: (0, 1)}]) == 1
     with pytest.raises(ValueError):
-        rank_of_rows([{0: 1}, {0: q}])
+        rank_of_rows([{0: 1}, {0: (0, 1)}])
 
 
 def test_qpermas_rank_at_minus_one():
@@ -232,7 +210,8 @@ def _cross_multiplied_pivots(vectors):
     return sorted(rows)
 
 
-small_qpolys = st.lists(st.integers(-3, 3), max_size=3).map(lambda cs: QPoly(tuple(cs)))
+# Fraction coefficients too: rows over Z[q] clear their denominators on entry.
+small_qpolys = st.lists(small_rationals, max_size=3).map(lambda cs: QPoly(tuple(cs)))
 q_vector = st.dictionaries(st.sampled_from("abc"), small_qpolys).map(LinComb)
 
 
@@ -249,6 +228,7 @@ def test_primitive_elimination_keeps_pivots_and_membership(vectors, scalar, prob
         assert basis.in_span(probe) == (
             len(_cross_multiplied_pivots(vectors + [probe])) == basis.rank
         )
+        assert all(isinstance(c, QPoly) for _, c in basis.reduce(probe).terms())
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -256,7 +236,7 @@ def test_qpermas_pivot_rows_stay_small(n):
     gens, rels = PRESETS["qPermAs"]()
     basis = SpanBasis(ideal_vectors(rels, gens, n))
     assert basis.rank == factorial(n - 1) - 1
-    assert max(c.degree for row in basis._rows.values() for c in row.values()) <= 6
+    assert max(len(c) - 1 for row in basis._rows.values() for c in row.values()) <= 6
 
 
 def test_mixed_domains_are_rejected():

@@ -1,10 +1,11 @@
 import itertools
 import json
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from permutads.linalg import LinComb, QPoly
+from permutads.linalg import LinComb, QPoly, SpanBasis, span_rank
 from permutads.permutad import (
     IDENTITY,
     DecoratedSurjection,
@@ -18,13 +19,10 @@ from permutads.permutad import (
     free_basis,
     gamma,
     generator_element,
-    ideal_component,
     ideal_vectors,
     qpermas_normalize,
     qpermas_relation,
     quotient_dim,
-    relation_from_json,
-    relation_to_json,
     specialize,
     validate_decorated,
 )
@@ -130,14 +128,6 @@ def test_free_basis_is_sorted():
     assert basis == sorted(basis)
 
 
-def test_relation_json_roundtrip():
-    rel = qpermas_relation()
-    back = relation_from_json(json.loads(json.dumps(relation_to_json(rel))))
-    assert back == rel
-    plain = circ_i(MU, MU, 1) - circ_i(MU, MU, 2)
-    assert relation_from_json(json.loads(json.dumps(relation_to_json(plain)))) == plain
-
-
 def test_qpermas_relation_shape():
     rel = qpermas_relation()
     keys = {d.t.values: c for d, c in rel.terms()}
@@ -158,15 +148,53 @@ def test_quotient_dims_per_preset():
     gens, rels = PRESETS["qPermAs"]()
     assert [quotient_dim(rels, gens, n) for n in (2, 3, 4)] == [1, 1, 1]
     gens, rels = PRESETS["permAsSh"]()
-    assert [quotient_dim(rels, gens, n) for n in (3, 4)] == [6, 24]
+    assert [quotient_dim(rels, gens, n) for n in range(3, 7)] == [
+        factorial(n) for n in range(3, 7)
+    ]
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_quotient_dim_agrees_with_the_ideal_span(preset):
     gens, rels = PRESETS[preset]()
     for n in range(2, 6):
-        span = ideal_component(rels, gens, n)
+        span = SpanBasis(ideal_vectors(rels, gens, n))
         assert quotient_dim(rels, gens, n) == len(free_basis(gens, n)) - span.rank
+
+
+def _composites(relations, M, n, pool):
+    """gamma(t; ..., r, ...) with a relation r at one vertex and every other
+    vertex filled from ``pool(arity)``, in ``ideal_vectors`` order."""
+    out = []
+    for rel in relations:
+        r_arity = arity_of(rel)
+        for t in enumerate_surjections(n - 1):
+            sizes = t.preimage_sizes()
+            for hot in range(t.k):
+                if sizes[hot] + 1 != r_arity:
+                    continue
+                pools = [[rel] if j == hot else pool(size + 1) for j, size in enumerate(sizes)]
+                out.extend(gamma(t, list(slots)) for slots in itertools.product(*pools))
+    return out
+
+
+def _generators(M):
+    return lambda a: [generator_element(name, a) for name in M.names_of_arity(a)]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_ideal_vectors_are_generator_composites(preset):
+    gens, rels = PRESETS[preset]()
+    for n in range(2, 6):
+        assert ideal_vectors(rels, gens, n) == _composites(rels, gens, n, _generators(gens))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_generator_slots_span_the_full_ideal(preset):
+    # The reference fills every other vertex with the whole free basis.
+    gens, rels = PRESETS[preset]()
+    for n in range(2, 7):
+        full = _composites(rels, gens, n, lambda a: free_basis(gens, a))
+        assert span_rank(ideal_vectors(rels, gens, n)) == span_rank(full)
 
 
 def test_qpermas_specializations():
@@ -174,15 +202,13 @@ def test_qpermas_specializations():
     for value, expect in ((1, 1), (-1, 1), (2, 1)):
         for n in (3, 4):
             vectors = [specialize(v, value) for v in ideal_vectors(rels, gens, n)]
-            from permutads.linalg import span_rank
-
             dim = len(free_basis(gens, n)) - span_rank(vectors)
             assert dim == expect
 
 
 def test_ideal_membership():
     gens, rels = PRESETS["qPermAs"]()
-    component = ideal_component(rels, gens, 3)
+    component = SpanBasis(ideal_vectors(rels, gens, 3))
     mu_mu_1 = circ_i(MU, MU, 1).map_coeffs(QPoly.const)
     mu_mu_2 = circ_i(MU, MU, 2).map_coeffs(QPoly.const)
     assert component.in_span(mu_mu_2 - mu_mu_1.scale(QPoly.q()))
