@@ -13,6 +13,7 @@ early (``| head``) ends the run with exit code 1 and nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -319,7 +320,9 @@ def cmd_verify(args) -> int:
 # Parser.
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="permutads",
         description="Exact combinatorics of surjections under substitution.",

@@ -15,13 +15,8 @@ divided by their gcd (``math.gcd`` over Z, :func:`_gcd` over Z[q]).  A row
 the step scaled, and every new pivot, is divided by its content, the gcd
 of its entries, so pivot rows are primitive and sizes stay near those of
 the inputs: fraction-free elimination in the manner of Bareiss, with the
-primitive parts of Collins and Brown's subresultant sequences.  The step
-takes one of two pivot rules.  :class:`SpanBasis` pivots on the lowest
-key, so its pivots are those of the span's reduced echelon form in any
-insertion order, which membership callers rely on.  :func:`rank_of_rows`
-pivots on the highest index of rows already numbered, which fills far less
-on boundary and ideal families; rank-only callers use it, through
-:func:`span_rank` when the keys still need numbering.
+primitive parts of Collins and Brown's subresultant sequences.  Every
+step pivots on the highest key of the row it reduces.
 """
 
 from __future__ import annotations
@@ -213,10 +208,8 @@ def linear_extend(fn: Callable, v: LinComb) -> LinComb:
 class SpanBasis:
     """Row-reduced span with one primitive pivot row per leading key.
 
-    Rows are reduced on their lowest key, so ranks, pivots and membership
-    are deterministic and pivots are always the lowest keys available.
-    All vectors of one basis share a coefficient domain, Q or Q[q]; the
-    stored rows are over Z or Z[q].
+    Rows are reduced on their highest key.  All vectors of one basis share
+    a coefficient domain, Q or Q[q]; the stored rows are over Z or Z[q].
     """
 
     def __init__(self, vectors: Iterable[LinComb] = ()) -> None:
@@ -238,7 +231,7 @@ class SpanBasis:
         integer or :class:`QPoly` coefficients.
         """
         row = _row(v._terms)
-        _eliminate(row, self._rows, min)
+        _eliminate(row, self._rows)
         return LinComb({k: QPoly(c) if type(c) is tuple else c for k, c in row.items()})
 
     def add(self, v: LinComb) -> bool:
@@ -246,7 +239,7 @@ class SpanBasis:
         # Through reduce, so perfbench's traced remainders include stored rows.
         row = _row(self.reduce(v)._terms)
         if row:
-            self._rows[min(row)] = row
+            self._rows[max(row)] = row
         return bool(row)
 
     def in_span(self, v: LinComb) -> bool:
@@ -276,16 +269,12 @@ def rank_of_rows(rows: Iterable[dict]) -> int:
     coeff}`` dicts with nonzero entries all in Z (ints) or all in Z[q]
     (tuples of ints, the coefficient of q^i at i, last entry nonzero).
 
-    Each row is reduced on its highest index, which fills far less than
-    :class:`SpanBasis`'s lowest key on the boundary and ideal families when
-    the numbering follows the sorted order of the keys.
-
     >>> rank_of_rows([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}, {}])
     2
     """
     pivots: dict[int, dict] = {}
     for row in rows:
-        lead = _eliminate(row, pivots, max)
+        lead = _eliminate(row, pivots)
         if lead is not None:
             pivots[lead] = row
     return len(pivots)
@@ -321,8 +310,8 @@ def _remove_content(row: dict) -> None:
             row[i] = _div(c, content)
 
 
-def _eliminate(row: dict, pivots: dict, lead: Callable):
-    """Reduce a row in place against primitive pivot rows on ``lead(row)``.
+def _eliminate(row: dict, pivots: dict):
+    """Reduce a row in place against primitive pivot rows on its highest key.
 
     An integer gcd takes the sign of a, so a pivot led by -1 never scales
     the row.  Returns the leading key once no pivot owns it, with the row
@@ -334,7 +323,7 @@ def _eliminate(row: dict, pivots: dict, lead: Callable):
     if pivots and domain is not type(next(iter(next(iter(pivots.values())).values()))):
         raise ValueError("mixed coefficient domains")
     while row:
-        key = lead(row)
+        key = max(row)
         pivot = pivots.get(key)
         if pivot is None:
             _remove_content(row)

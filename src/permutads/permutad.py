@@ -35,30 +35,24 @@ from .surjections import (
 class GeneratorSet:
     """Ordered generator names per arity.
 
-    Arity-1 generators mark the extended setting (operations with unary
-    vertices); they are only admitted with ``extended=True`` and are never
-    enumerated into free bases, which would be infinite over weak level
-    maps.
+    Arity-1 generators are refused: free bases over them would be infinite
+    over weak level maps.
 
     >>> GeneratorSet({2: ("mu",)}).names_of_arity(2)
     ('mu',)
     """
 
     by_arity: tuple[tuple[int, tuple[str, ...]], ...]
-    extended: bool = False
 
-    def __init__(self, by_arity, extended: bool = False) -> None:
+    def __init__(self, by_arity) -> None:
         if isinstance(by_arity, dict):
             items = tuple(sorted((a, tuple(names)) for a, names in by_arity.items()))
         else:
             items = tuple((a, tuple(names)) for a, names in by_arity)
         object.__setattr__(self, "by_arity", items)
-        object.__setattr__(self, "extended", extended)
         for a, names in items:
-            if a < 1:
-                raise ValueError(f"generator arity must be >= 1, got {a}")
-            if a == 1 and not extended:
-                raise ValueError("arity-1 generators need the extended flag")
+            if a < 2:
+                raise ValueError(f"generator arity must be >= 2, got {a}")
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate generator names at arity {a}: {names}")
 
@@ -231,8 +225,6 @@ def free_basis(M: GeneratorSet, n: int) -> list[DecoratedSurjection]:
     """
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
-    if M.extended:
-        raise ValueError("free bases over extended generator sets are infinite")
     if n == 1:
         return [IDENTITY]
     out = []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import permutads
-from permutads.cli import main
+from permutads.cli import build_parser, main
 from permutads.verify import CHECKS
 
 
@@ -429,6 +429,19 @@ def test_usage_errors_exit_two(capsys):
         main(["bruhat"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cached_parser_survives_usage_errors(capsys):
+    argv = ["permutad", "dim", "--preset", "permMag", "--n", "4"]
+    build_parser.cache_clear()
+    _, fresh, _ = run(capsys, *argv)
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:-1])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, fresh, "")
 
 
 def test_output_is_deterministic(capsys):

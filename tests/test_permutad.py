@@ -34,7 +34,6 @@ MU = generator_element("mu", 2)
 def test_generator_set_validation():
     with pytest.raises(ValueError):
         GeneratorSet({1: ("D",)})
-    assert GeneratorSet({1: ("D",)}, extended=True).extended
     with pytest.raises(ValueError):
         GeneratorSet({2: ("a", "a")})
     assert GeneratorSet({3: ("c",), 2: ("a",)}).arities() == (2, 3)
@@ -118,8 +117,6 @@ def test_free_basis_counts():
     two = GeneratorSet({2: ("one", "tau")})
     assert len(free_basis(two, 3)) == 8
     assert len(free_basis(two, 4)) == 48
-    with pytest.raises(ValueError):
-        free_basis(GeneratorSet({1: ("D",)}, extended=True), 2)
 
 
 def test_free_basis_is_sorted():

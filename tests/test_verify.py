@@ -42,6 +42,13 @@ def test_homology_reaches_seven_letters():
     verify.check_homology(7)
 
 
+def test_q_normal_form_reaches_seven():
+    check = next(c for c in CHECKS if c.name == "q-normal-form")
+    assert bound_for(check) == 7
+    assert bound_for(check, 99) == 7
+    verify.check_q_normal_form(7)
+
+
 def test_run_check_reports_the_bound_used():
     unsized = next(c for c in CHECKS if c.default_n is None)
     assert run_check(unsized) is None
