@@ -6,30 +6,20 @@ anyone asks for one more arity.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from permutads.permutad import PRESETS, free_basis, quotient_dim
 
 
-@dataclass(frozen=True)
-class TablePlan:
-    preset: str
-    max_free: int
-    max_quotient: int
+# preset: (largest free arity, largest quotient arity)
+PLANS = {"permMag": (8, 8), "qPermAs": (8, 7), "permAsSh": (7, 7)}
 
 
-PLANS = {
-    "permMag": TablePlan("permMag", 8, 8),
-    "qPermAs": TablePlan("qPermAs", 8, 7),
-    "permAsSh": TablePlan("permAsSh", 7, 7),
-}
-
-
-def rows_for(plan: TablePlan):
-    gens, relations = PRESETS[plan.preset]()
-    for n in range(1, plan.max_free + 1):
+def rows_for(preset: str):
+    max_free, max_quotient = PLANS[preset]
+    gens, relations = PRESETS[preset]()
+    for n in range(1, max_free + 1):
         free = len(free_basis(gens, n))
-        if n <= plan.max_quotient:
+        if n <= max_quotient:
             dim = str(quotient_dim(relations, gens, n))
         else:
             dim = "-"
@@ -44,7 +34,7 @@ def main() -> int:
     for name in names:
         print(f"{name}")
         print(f"  {'arity':>5}  {'free':>6}  {'quotient':>8}")
-        for n, free, dim in rows_for(PLANS[name]):
+        for n, free, dim in rows_for(name):
             print(f"  {n:>5}  {free:>6}  {dim:>8}")
         print()
     return 0

@@ -24,7 +24,6 @@ from .surjections import (
     Surjection,
     UNIT,
     corolla,
-    count_surjections,
     enumerate_surjections,
     substitute,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "circ_t",
     "comb_from_surjection",
     "corolla",
-    "count_surjections",
     "cover_graph",
     "csv_triples",
     "dg_leibniz_check",

@@ -54,11 +54,6 @@ class QPoly:
     def q(exponent: int = 1) -> "QPoly":
         return QPoly((Fraction(0),) * exponent + (Fraction(1),))
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

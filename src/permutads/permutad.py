@@ -107,15 +107,6 @@ def generator_element(name: str, arity: int) -> DecoratedSurjection:
     return DecoratedSurjection(corolla(arity - 1), (name,))
 
 
-def validate_decorated(d: DecoratedSurjection, M: GeneratorSet) -> None:
-    for j, size in enumerate(d.t.preimage_sizes(), start=1):
-        name = d.decorations[j - 1]
-        if name not in M.names_of_arity(size + 1):
-            raise ValueError(
-                f"vertex {j}: no generator {name!r} of arity {size + 1}"
-            )
-
-
 def _as_lincomb(x) -> LinComb:
     if isinstance(x, LinComb):
         return x

@@ -8,6 +8,9 @@ inverse of the unshuffle sigma_t returned by :func:`sigma_of`.  For the
 surjection (1,2,1,1,2) the blocks are {1,3,4} and {2,5}, the shuffle is
 (1,3,4,2,5) and sigma_t = (1,4,2,3,5).
 
+A :class:`Shuffle` holds t alone and reads its block sizes and word off
+it; words from outside are checked once, in :meth:`Shuffle.from_json`.
+
 Every (i_1,...,i_k)-shuffle factors uniquely into k - 1 binary shuffles,
 and the factors have a closed form.  Let t be the surjection of the
 shuffle and 1 <= j < k.  Factor j, counted from the outermost, is the
@@ -32,37 +35,36 @@ def _cut(perm: tuple[int, ...], sizes: tuple[int, ...]) -> list[tuple[int, ...]]
     return [perm[end - size : end] for size, end in zip(sizes, ends)]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Shuffle:
-    """A block-increasing permutation word together with its block sizes.
+    """The block-increasing word of a surjection t, with its block sizes.
 
-    >>> Shuffle((2, 1), (1, 3, 2)).perm
+    >>> Shuffle(Surjection((1, 2, 1))).perm
     (1, 3, 2)
     """
 
-    blocks: tuple[int, ...]
-    perm: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "perm", tuple(self.perm))
-        if any(type(b) is not int for b in self.blocks):
-            raise ValueError(f"block sizes must be integers, got {self.blocks}")
-        pieces = _cut(self.perm, self.blocks)
-        if tuple(map(len, pieces)) != self.blocks or sum(self.blocks) != self.n:
-            raise ValueError(f"block sizes {self.blocks} do not cut {self.perm}")
-        Surjection.from_blocks(pieces)
+    t: Surjection
 
     @property
-    def n(self) -> int:
-        return len(self.perm)
+    def blocks(self) -> tuple[int, ...]:
+        return self.t.preimage_sizes()
+
+    @property
+    def perm(self) -> tuple[int, ...]:
+        return sum(self.t.blocks(), ())
 
     def to_json(self) -> dict:
         return {"blocks": list(self.blocks), "perm": list(self.perm)}
 
     @staticmethod
     def from_json(obj: dict) -> "Shuffle":
-        return Shuffle(tuple(obj["blocks"]), tuple(obj["perm"]))
+        blocks, perm = tuple(obj["blocks"]), tuple(obj["perm"])
+        if any(type(b) is not int for b in blocks):
+            raise ValueError(f"block sizes must be integers, got {blocks}")
+        pieces = _cut(perm, blocks)
+        if tuple(map(len, pieces)) != blocks or sum(blocks) != len(perm):
+            raise ValueError(f"block sizes {blocks} do not cut {perm}")
+        return Shuffle(Surjection.from_blocks(pieces))
 
 
 def shuffle_of(t: Surjection) -> Shuffle:
@@ -71,8 +73,7 @@ def shuffle_of(t: Surjection) -> Shuffle:
     >>> shuffle_of(Surjection((1, 2, 1, 1, 2))).perm
     (1, 3, 4, 2, 5)
     """
-    blocks = t.blocks()
-    return Shuffle(tuple(map(len, blocks)), sum(blocks, ()))
+    return Shuffle(t)
 
 
 def sigma_of(t: Surjection) -> Surjection:
@@ -103,7 +104,7 @@ def surjection_of_shuffle(s: Shuffle) -> Surjection:
     >>> surjection_of_shuffle(shuffle_of(Surjection((2, 1, 2)))).values
     (2, 1, 2)
     """
-    return Surjection.from_blocks(_cut(s.perm, s.blocks))
+    return s.t
 
 
 def staged_product(factors: list[Shuffle], blocks: tuple[int, ...]) -> Shuffle:
@@ -111,13 +112,14 @@ def staged_product(factors: list[Shuffle], blocks: tuple[int, ...]) -> Shuffle:
 
     The j-th factor acts on the first i_1 + ... + i_{k-j+1} points and is
     padded by the identity on the rest; factors are applied last to first.
+    The word is built apart from ``blocks``, so cutting it there is checked.
     """
     n = sum(blocks)
     word = identity_word(n)
     for factor in reversed(factors):
-        padded = concat_words(factor.perm, identity_word(n - factor.n))
+        padded = concat_words(factor.perm, identity_word(n - factor.t.n))
         word = compose(padded, word)
-    return Shuffle(blocks, word)
+    return Shuffle(Surjection.from_blocks(_cut(word, blocks)))
 
 
 def shuffle_factorize(s: Shuffle) -> list[Shuffle]:
@@ -127,11 +129,12 @@ def shuffle_factorize(s: Shuffle) -> list[Shuffle]:
     up to k - j + 1, every level below that top one merged into level 1:
     an (i_1 + ... + i_{k-j}, i_{k-j+1})-shuffle.
 
-    >>> [f.perm for f in shuffle_factorize(Shuffle((1, 1, 1), (2, 3, 1)))]
+    >>> s = Shuffle.from_json({"blocks": [1, 1, 1], "perm": [2, 3, 1]})
+    >>> [f.perm for f in shuffle_factorize(s)]
     [(2, 3, 1), (1, 2)]
     """
-    t = surjection_of_shuffle(s).values
+    t = s.t.values
     return [
-        shuffle_of(Surjection._of(tuple(1 if v < top else 2 for v in t if v <= top), 2))
-        for top in range(len(s.blocks), 1, -1)
+        Shuffle(Surjection._of(tuple(1 if v < top else 2 for v in t if v <= top), 2))
+        for top in range(s.t.k, 1, -1)
     ]

@@ -22,7 +22,8 @@ operation arity of vertex j is one more than its preimage size.  The
 preimages in vertex order form an ordered partition of 1..n,
 :meth:`Surjection.blocks`; :meth:`Surjection.from_blocks` is its inverse and
 the one place a partition is validated.  Shuffles, leveled trees and left
-combs are renders of that partition.
+combs are renders of that partition: each holds one validated surjection
+and nothing else, so only the parsers that read them from outside check.
 
 Permutations appear throughout as plain value tuples ("words"): ``w[i - 1]``
 is the image of i.  Helpers for words live at the bottom of the module.
@@ -31,7 +32,6 @@ is the image of i.  Helpers for words live at the bottom of the module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -257,11 +257,6 @@ def enumerate_surjections(n: int, k: int | None = None) -> list[Surjection]:
     return out
 
 
-def count_surjections(n: int, k: int) -> int:
-    """k! times the Stirling partition number, by inclusion-exclusion."""
-    return sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1))
-
-
 # ---------------------------------------------------------------------------
 # Permutation words.  A word w of length n represents the bijection sending
 # i to w[i - 1]; composition follows the usual convention (u * w)(x) = u(w(x)).
@@ -306,7 +301,3 @@ def inversions(w: tuple[int, ...]) -> int:
         for j in range(i + 1, len(w))
         if w[i] > w[j]
     )
-
-
-def word_sign(w: tuple[int, ...]) -> int:
-    return -1 if inversions(w) % 2 else 1

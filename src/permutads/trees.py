@@ -5,7 +5,9 @@ whose gap i (between leaves i - 1 and i) closes at level t(i), levels
 numbered downward from 1.  The gap sets per level (:class:`LeveledTree`)
 and the label sets of a left comb (:class:`ShuffleLeftComb`) are both the
 ordered partition :meth:`Surjection.blocks`; they differ only in how they
-draw it, and :meth:`Surjection.from_blocks` validates and inverts both.
+draw it.  So each class holds t alone and reads its sets off t, and one
+built from a surjection is valid by construction.  Outside input enters
+through ``from_json`` and the nested parsers, which validate it once.
 Both need n >= 1: the unit surjection has no tree and no comb.
 
 Two nested-array renders are used for JSON:
@@ -35,26 +37,19 @@ from .surjections import Surjection
 Nested = int | list
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class LeveledTree:
-    """Gap sets per level; level j owns the nonempty tuple levels[j - 1]."""
+    """The tree of t: gap i closes at level t(i), so level j owns block j."""
 
-    levels: tuple[tuple[int, ...], ...]
+    t: Surjection
 
     def __post_init__(self) -> None:
-        levels = tuple(tuple(sorted(level)) for level in self.levels)
-        object.__setattr__(self, "levels", levels)
-        if not levels:
+        if not self.t.n:
             raise ValueError("a leveled tree needs at least one gap")
-        Surjection.from_blocks(levels)
 
     @property
-    def n(self) -> int:
-        return sum(len(level) for level in self.levels)
-
-    @property
-    def k(self) -> int:
-        return len(self.levels)
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        return self.t.blocks()
 
     def to_json(self) -> dict:
         return {
@@ -65,7 +60,8 @@ class LeveledTree:
     @staticmethod
     def from_json(obj: dict) -> "LeveledTree":
         if "levels" in obj:
-            tr = LeveledTree(tuple(tuple(level) for level in obj["levels"]))
+            levels = tuple(tuple(sorted(level)) for level in obj["levels"])
+            tr = LeveledTree(Surjection.from_blocks(levels))
             if "nested" in obj and tree_from_nested(obj["nested"]) != tr:
                 raise ValueError("levels and nested render disagree")
             return tr
@@ -78,11 +74,11 @@ def tree_from_surjection(t: Surjection) -> LeveledTree:
     >>> tree_from_surjection(Surjection((1, 2, 1))).levels
     ((1, 3), (2,))
     """
-    return LeveledTree(t.blocks())
+    return LeveledTree(t)
 
 
 def tree_to_surjection(tr: LeveledTree) -> Surjection:
-    return Surjection.from_blocks(tr.levels)
+    return tr.t
 
 
 def tree_to_nested(tr: LeveledTree) -> Nested:
@@ -93,7 +89,7 @@ def tree_to_nested(tr: LeveledTree) -> Nested:
     >>> tree_to_nested(tree_from_surjection(Surjection((1, 1, 2))))
     [2, [1, 0, 1, 2], 3]
     """
-    level = (0, *tree_to_surjection(tr).values)  # gap i closes at level t(i)
+    level = (0, *tr.t.values)  # gap i closes at level t(i)
 
     def render(lo: int, hi: int) -> Nested:
         if lo == hi:
@@ -107,7 +103,7 @@ def tree_to_nested(tr: LeveledTree) -> Nested:
         children.append(render(lo, hi))
         return [top] + children  # sized exactly, unlike a list grown by append
 
-    return render(0, tr.n)
+    return render(0, tr.t.n)
 
 
 def tree_from_nested(nested: Nested) -> LeveledTree:
@@ -139,28 +135,25 @@ def tree_from_nested(nested: Nested) -> LeveledTree:
     if len(set(gaps)) != k:
         raise ValueError(f"tree levels {sorted(set(gaps))} skip a level below {k}")
     # Positive integers onto 1..k, checked just above.
-    tr = LeveledTree(Surjection._of(tuple(gaps), k).blocks())
+    tr = LeveledTree(Surjection._of(tuple(gaps), k))
     if tree_to_nested(tr) != nested:
         raise ValueError(f"nested tree is not in canonical form: {nested!r}")
     return tr
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ShuffleLeftComb:
-    """Label sets L_1,...,L_k of a left comb, top vertex first."""
+    """The left comb of t: vertex j, top first, carries block j as labels."""
 
-    labels: tuple[tuple[int, ...], ...]
+    t: Surjection
 
     def __post_init__(self) -> None:
-        labels = tuple(tuple(level) for level in self.labels)
-        object.__setattr__(self, "labels", labels)
-        if not labels:
+        if not self.t.n:
             raise ValueError("a left comb needs at least one label")
-        Surjection.from_blocks(labels)
 
     @property
-    def n(self) -> int:
-        return sum(len(level) for level in self.labels)
+    def labels(self) -> tuple[tuple[int, ...], ...]:
+        return self.t.blocks()
 
     def to_json(self) -> dict:
         return {
@@ -171,7 +164,8 @@ class ShuffleLeftComb:
     @staticmethod
     def from_json(obj: dict) -> "ShuffleLeftComb":
         if "labels" in obj:
-            c = ShuffleLeftComb(tuple(tuple(level) for level in obj["labels"]))
+            labels = tuple(tuple(level) for level in obj["labels"])
+            c = ShuffleLeftComb(Surjection.from_blocks(labels))
             if "nested" in obj and comb_from_nested(obj["nested"]) != c:
                 raise ValueError("labels and nested render disagree")
             return c
@@ -184,11 +178,11 @@ def comb_from_surjection(t: Surjection) -> ShuffleLeftComb:
     >>> comb_from_surjection(Surjection((1, 2, 1, 1, 2))).labels
     ((1, 3, 4), (2, 5))
     """
-    return ShuffleLeftComb(t.blocks())
+    return ShuffleLeftComb(t)
 
 
 def comb_to_surjection(c: ShuffleLeftComb) -> Surjection:
-    return Surjection.from_blocks(c.labels)
+    return c.t
 
 
 def comb_to_nested(c: ShuffleLeftComb) -> Nested:
@@ -197,8 +191,9 @@ def comb_to_nested(c: ShuffleLeftComb) -> Nested:
     >>> comb_to_nested(comb_from_surjection(Surjection((1, 2, 1, 1, 2))))
     [[0, 1, 3, 4], 2, 5]
     """
-    node: Nested = [0, *c.labels[0]]
-    for level in c.labels[1:]:
+    top, *below = c.labels
+    node: Nested = [0, *top]
+    for level in below:
         node = [node, *level]
     return node
 
@@ -218,7 +213,7 @@ def comb_from_nested(nested: Nested) -> ShuffleLeftComb:
                 raise ValueError(f"topmost left leaf must be 0, got {head}")
             break
         node = head
-    return ShuffleLeftComb(tuple(reversed(levels)))
+    return ShuffleLeftComb(Surjection.from_blocks(tuple(reversed(levels))))
 
 
 def leaves_of(nested: Nested) -> list[int]:

@@ -27,9 +27,13 @@ from permutads.surjections import (
     Surjection,
     corolla,
     enumerate_surjections,
+    inversions,
     substitute,
-    word_sign,
 )
+
+
+def word_sign(w):
+    return -1 if inversions(w) % 2 else 1
 
 
 def substitution_boundary(t):

@@ -23,7 +23,7 @@ qpolys = st.lists(rationals, max_size=5).map(lambda cs: QPoly(tuple(cs)))
 
 def test_qpoly_normalizes_trailing_zeros():
     assert QPoly((Fraction(1), Fraction(0))).coeffs == (Fraction(1),)
-    assert QPoly(()).degree == -1
+    assert QPoly(()).coeffs == ()
     assert not QPoly(())
     assert QPoly.q(0) == QPoly.const(1)
 

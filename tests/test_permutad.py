@@ -24,7 +24,6 @@ from permutads.permutad import (
     qpermas_relation,
     quotient_dim,
     specialize,
-    validate_decorated,
 )
 from permutads.surjections import Surjection, enumerate_surjections
 
@@ -46,15 +45,6 @@ def test_decorated_surjection_validation():
     assert d.arity == 4
     assert d.csv_key() == "1-2-1:a.b"
     assert DecoratedSurjection.from_json(json.loads(json.dumps(d.to_json()))) == d
-
-
-def test_validate_decorated_against_generators():
-    M = GeneratorSet({2: ("mu",)})
-    validate_decorated(MU, M)
-    with pytest.raises(ValueError):
-        validate_decorated(generator_element("nu", 2), M)
-    with pytest.raises(ValueError):
-        validate_decorated(generator_element("mu", 3), M)
 
 
 def test_arity_of_rejects_mixed_terms():

@@ -22,19 +22,19 @@ surjections = st.lists(st.integers(1, 9), min_size=1, max_size=7).map(standardiz
 
 def test_shuffle_validation():
     with pytest.raises(ValueError):
-        Shuffle((2, 1), (2, 1, 3))  # first block decreasing
+        Shuffle.from_json({"blocks": [2, 1], "perm": [2, 1, 3]})  # first block decreasing
     with pytest.raises(ValueError):
-        Shuffle((1, 1), (1, 1))
+        Shuffle.from_json({"blocks": [1, 1], "perm": [1, 1]})
     with pytest.raises(ValueError):
-        Shuffle((0, 2), (1, 2))
+        Shuffle.from_json({"blocks": [0, 2], "perm": [1, 2]})
+    with pytest.raises(ValueError):  # negative size whose running ends still reach 2
+        Shuffle.from_json({"blocks": [-1, 3], "perm": [1, 2]})
     with pytest.raises(ValueError):
-        Shuffle((-1, 3), (1, 2))  # negative size whose running ends still reach 2
+        Shuffle.from_json({"blocks": [2, 1], "perm": [1, 2]})  # sizes sum past len(perm)
     with pytest.raises(ValueError):
-        Shuffle((2, 1), (1, 2))  # sizes sum past len(perm)
+        Shuffle.from_json({"blocks": [1], "perm": [1, 2]})  # sizes stop short of len(perm)
     with pytest.raises(ValueError):
-        Shuffle((1,), (1, 2))  # sizes stop short of len(perm)
-    with pytest.raises(ValueError):
-        Shuffle((True, 1), (1, 2))
+        Shuffle.from_json({"blocks": [True, 1], "perm": [1, 2]})
 
 
 def test_shuffle_of_pin():
@@ -71,7 +71,7 @@ def test_factorization_recombines(t):
 
 
 def test_factorization_pin():
-    factors = shuffle_factorize(Shuffle((1, 1, 1), (2, 3, 1)))
+    factors = shuffle_factorize(Shuffle.from_json({"blocks": [1, 1, 1], "perm": [2, 3, 1]}))
     assert [f.perm for f in factors] == [(2, 3, 1), (1, 2)]
     assert [f.blocks for f in factors] == [(2, 1), (1, 1)]
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,14 +13,21 @@ from permutads.surjections import (
     concat,
     concat_words,
     corolla,
-    count_surjections,
     enumerate_surjections,
     identity_word,
     inverse,
     inversions,
     substitute,
-    word_sign,
 )
+
+
+def count_surjections(n, k):
+    """k! times the Stirling partition number, by inclusion-exclusion."""
+    return sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1))
+
+
+def word_sign(w):
+    return -1 if inversions(w) % 2 else 1
 
 
 def standardize(vals):

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from permutads.surjections import Surjection
+from permutads.shuffles import shuffle_of, surjection_of_shuffle
+from permutads.surjections import Surjection, enumerate_surjections
 from permutads.trees import (
     LeveledTree,
     ShuffleLeftComb,
@@ -29,17 +30,35 @@ surjections = st.lists(st.integers(1, 9), min_size=1, max_size=7).map(standardiz
 
 def test_leveled_tree_validation():
     with pytest.raises(ValueError):
-        LeveledTree(((1,), ()))
+        LeveledTree.from_json({"levels": [[1], []]})
     with pytest.raises(ValueError):
-        LeveledTree(((1,), (3,)))
-    assert LeveledTree(((3, 1), (2,))).levels == ((1, 3), (2,))
+        LeveledTree.from_json({"levels": [[1], [3]]})
+    assert LeveledTree.from_json({"levels": [[3, 1], [2]]}).levels == ((1, 3), (2,))
 
 
 def test_comb_validation():
     with pytest.raises(ValueError):
-        ShuffleLeftComb(((2, 1),))
+        ShuffleLeftComb.from_json({"labels": [[2, 1]]})
     with pytest.raises(ValueError):
-        ShuffleLeftComb(((1,), (1,)))
+        ShuffleLeftComb.from_json({"labels": [[1], [1]]})
+
+
+def test_encodings_of_a_surjection_are_not_revalidated(monkeypatch):
+    calls = []
+    from_blocks = Surjection.from_blocks
+
+    def counted(blocks):
+        calls.append(blocks)
+        return from_blocks(blocks)
+
+    monkeypatch.setattr(Surjection, "from_blocks", staticmethod(counted))
+    for n in range(1, 6):
+        for t in enumerate_surjections(n):
+            s, tr, c = shuffle_of(t), tree_from_surjection(t), comb_from_surjection(t)
+            assert surjection_of_shuffle(s) == tree_to_surjection(tr) == comb_to_surjection(c) == t
+            tree_to_nested(tr), comb_to_nested(c)
+            s.to_json(), tr.to_json(), c.to_json()
+    assert calls == []
 
 
 def test_nested_renders_pin():

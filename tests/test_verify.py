@@ -36,10 +36,17 @@ def test_bound_for_clamps():
 
 def test_homology_reaches_seven_letters():
     check = next(c for c in CHECKS if c.name == "homology-contractible")
-    assert bound_for(check) == 6
+    assert bound_for(check) == 7
     assert bound_for(check, 7) == 7
     assert bound_for(check, 99) == 7
     verify.check_homology(7)
+
+
+def test_boundary_squared_reaches_seven():
+    check = next(c for c in CHECKS if c.name == "boundary-squared")
+    assert bound_for(check) == 7
+    assert bound_for(check, 99) == 7
+    verify.check_boundary_squared(7)
 
 
 def test_q_normal_form_reaches_seven():
