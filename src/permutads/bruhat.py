@@ -9,10 +9,11 @@ of the two always holds, since nothing in between can equal i or i+1).
 
 Kind-1 covers are the moves that rotate a single edge of the underlying
 unlabelled binary tree; kind-2 covers permute the levels of two vertices
-that are not adjacent, leaving the tree untouched.  The graph on all
-permutations with kind-1 covers as edges is connected, which is checked
-here by search and certified by a spanning tree; paths in that graph are
-the admissible-move sequences used elsewhere.
+that are not adjacent, leaving the tree untouched.  One breadth-first
+search, over covers of chosen kinds traversed in either direction, does
+every walk of the cover graph: it decides whether covers of one kind or
+both connect all permutations, certified by a spanning tree, and finds
+the admissible paths, kind-1 paths joining the two ends of a cover.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ class Cover:
     i: int
     target: tuple[int, ...]
     kind: int
+
+    def to_json(self) -> dict:
+        return {
+            "source": list(self.source),
+            "i": self.i,
+            "target": list(self.target),
+            "kind": self.kind,
+        }
 
 
 def cover_kind(word: tuple[int, ...], i: int) -> int:
@@ -120,35 +129,47 @@ def tree_rotation_kind(word: tuple[int, ...], i: int) -> int:
     return 1 if made_at[i] in merged else 2
 
 
-def type1_connected(n: int) -> tuple[bool, list[Cover]]:
-    """Whether kind-1 covers connect all words, with a spanning tree.
+def _search(root: tuple[int, ...], kinds, goal=None) -> dict:
+    """Breadth-first search from root over covers of the given kinds.
 
-    Search runs over the undirected kind-1 edges from the identity; the
-    returned covers each attach one new word, so they form a spanning
-    tree of the identity's component exactly when the flag is true.
+    Covers are traversed in either direction, each word's covers in
+    sorted order and each frontier sorted, so the output is reproducible.
+    Maps every word reached to the cover that reached it and the previous
+    word (root to None), in the order reached; stops once goal is reached.
     """
-    words = all_words(n)
-    adjacency: dict[tuple[int, ...], list[tuple[Cover, tuple[int, ...]]]] = {
-        w: [] for w in words
-    }
-    for c in cover_graph(n):
-        if c.kind == 1:
-            adjacency[c.source].append((c, c.target))
-            adjacency[c.target].append((c, c.source))
-    root = words[0]
-    seen = {root}
-    tree: list[Cover] = []
+    adjacency: dict[tuple[int, ...], list[tuple[Cover, tuple[int, ...]]]] = {}
+    for c in cover_graph(len(root)):
+        if c.kind in kinds:
+            adjacency.setdefault(c.source, []).append((c, c.target))
+            adjacency.setdefault(c.target, []).append((c, c.source))
+    reached: dict = {root: None}
     frontier = [root]
-    while frontier:
+    while frontier and goal not in reached:
         nxt = []
         for w in frontier:
-            for c, other in sorted(adjacency[w]):
-                if other not in seen:
-                    seen.add(other)
-                    tree.append(c)
+            for c, other in sorted(adjacency.get(w, ())):
+                if other not in reached:
+                    reached[other] = (c, w)
                     nxt.append(other)
         frontier = sorted(nxt)
-    return len(seen) == len(words), tree
+    return reached
+
+
+def cover_connected(n: int, kinds=(1, 2)) -> tuple[bool, list[Cover]]:
+    """Whether covers of the given kinds connect all words, with a spanning tree.
+
+    Search runs from the identity; the returned covers each attach one new
+    word, so they form a spanning tree of the identity's component exactly
+    when the flag is true.
+    """
+    words = all_words(n)
+    reached = _search(words[0], kinds)
+    return len(reached) == len(words), [c for c, _ in list(reached.values())[1:]]
+
+
+def type1_connected(n: int) -> tuple[bool, list[Cover]]:
+    """Whether kind-1 covers connect all words, with a spanning tree."""
+    return cover_connected(n, (1,))
 
 
 def admissible_path(
@@ -156,8 +177,8 @@ def admissible_path(
 ) -> list[tuple[int, ...]]:
     """A kind-1 path from the word to its cover target, as word list.
 
-    Steps may traverse kind-1 covers in either direction.  Breadth-first
-    search with sorted frontiers keeps the output reproducible.
+    Steps may traverse kind-1 covers in either direction.  The path is a
+    shortest one, from the sorted search behind the spanning trees.
 
     >>> admissible_path((1, 3, 2), 1)  # doctest: +NORMALIZE_WHITESPACE
     [(1, 3, 2), (1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1), (2, 3, 1)]
@@ -166,26 +187,12 @@ def admissible_path(
     target = coxeter_apply(word, i)
     if not word.index(i) < word.index(i + 1):
         raise ValueError(f"{i} does not precede {i + 1} in {word!r}")
-    adjacency: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for c in cover_graph(len(word)):
-        if c.kind == 1:
-            adjacency.setdefault(c.source, set()).add(c.target)
-            adjacency.setdefault(c.target, set()).add(c.source)
-    parent = {word: None}
-    frontier = [word]
-    while frontier and target not in parent:
-        nxt = []
-        for w in frontier:
-            for other in sorted(adjacency.get(w, ())):
-                if other not in parent:
-                    parent[other] = w
-                    nxt.append(other)
-        frontier = sorted(nxt)
-    if target not in parent:
+    reached = _search(word, (1,), target)
+    if target not in reached:
         raise RuntimeError(f"no kind-1 path from {word!r} to {target!r}")
     path = [target]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
+    while reached[path[-1]] is not None:
+        path.append(reached[path[-1]][1])
     return path[::-1]
 
 

@@ -224,13 +224,10 @@ def cmd_bruhat(args) -> int:
     if args.n is None:
         args.parser.error("--n is required unless --path is given")
     _require_size(args.n, "weak order", DEFAULT_BOUND)
+    kinds = (1,) if args.type1_only else (1, 2)
     if args.check_connected:
-        if args.type1_only:
-            connected, _ = bruhat.type1_connected(args.n)
-            edges = sum(1 for c in bruhat.cover_graph(args.n) if c.kind == 1)
-        else:
-            connected = True
-            edges = len(bruhat.cover_graph(args.n))
+        connected, _ = bruhat.cover_connected(args.n, kinds)
+        edges = sum(1 for c in bruhat.cover_graph(args.n) if c.kind in kinds)
         vertices = len(bruhat.all_words(args.n))
         _emit({"connected": connected, "vertices": vertices, "edges": edges})
         return 0
@@ -238,16 +235,8 @@ def cmd_bruhat(args) -> int:
         sys.stdout.write(bruhat.bruhat_dot(args.n, type1_only=args.type1_only))
         return 0
     for c in bruhat.cover_graph(args.n):
-        if args.type1_only and c.kind != 1:
-            continue
-        _emit(
-            {
-                "source": list(c.source),
-                "i": c.i,
-                "target": list(c.target),
-                "kind": c.kind,
-            }
-        )
+        if c.kind in kinds:
+            _emit(c.to_json())
     return 0
 
 

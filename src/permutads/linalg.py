@@ -68,12 +68,7 @@ class QPoly:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        longer, shorter = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
-        out = list(longer)
-        for i, c in enumerate(shorter):
-            if c:
-                out[i] += c
-        return QPoly(out)
+        return QPoly(_sub(self.coeffs, [-c for c in other.coeffs]))
 
     __radd__ = __add__
 
@@ -84,21 +79,13 @@ class QPoly:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return QPoly(_sub(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        if not self or not other:
-            return QPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in right:
-                    out[i + j] += a * b
-        return QPoly(out)
+        return QPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -374,7 +361,8 @@ def _step_zq(row: dict, pivot: dict, key) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Z[q] arithmetic on nonzero tuples of ints, the coefficient of q^i at i.
+# Polynomial arithmetic on coefficient tuples, the coefficient of q^i at i:
+# ints for the Z[q] rows, Fractions for QPoly (`_mul` and `_sub` only).
 
 def _mul(a: tuple, b: tuple) -> tuple:
     if len(b) == 1:

@@ -62,9 +62,6 @@ class GeneratorSet:
                 return names
         return ()
 
-    def arities(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.by_arity)
-
 
 @dataclass(frozen=True, order=True)
 class DecoratedSurjection:
@@ -84,17 +81,8 @@ class DecoratedSurjection:
     def arity(self) -> int:
         return self.t.n + 1
 
-    def csv_key(self) -> str:
-        return f"{self.t.csv_key()}:{'.'.join(self.decorations)}"
-
     def to_json(self) -> dict:
         return {"surjection": self.t.to_json(), "decorations": list(self.decorations)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "DecoratedSurjection":
-        return DecoratedSurjection(
-            Surjection.from_json(obj["surjection"]), tuple(obj["decorations"])
-        )
 
 
 IDENTITY = DecoratedSurjection(UNIT, ())

@@ -77,19 +77,9 @@ class Surjection:
         return len(self.values)
 
     @property
-    def arity(self) -> int:
-        """Operation arity when the surjection decorates a permutad element."""
-        return self.n + 1
-
-    @property
     def dim(self) -> int:
         """Cell dimension n - k inside the permutohedron of its arity."""
         return self.n - self.k
-
-    def __call__(self, a: int) -> int:
-        if not 1 <= a <= self.n:
-            raise ValueError(f"input {a} outside 1..{self.n}")
-        return self.values[a - 1]
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The preimages of 1..k in turn: an ordered partition of 1..n.

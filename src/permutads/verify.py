@@ -30,7 +30,7 @@ from .permutad import (
     quotient_dim,
     specialize,
 )
-from .shuffles import Shuffle, shuffle_factorize, shuffle_of, sigma_of, staged_product, surjection_of_shuffle
+from .shuffles import shuffle_factorize, shuffle_of, sigma_of, staged_product, surjection_of_shuffle
 from .surjections import (
     Surjection,
     compose,
@@ -66,6 +66,7 @@ class CheckFailed(Exception):
 
 
 def _fail(**witness) -> None:
+    """Raise with a witness; :func:`run_check` adds the check's name."""
     raise CheckFailed({k: _plain(v) for k, v in witness.items()})
 
 
@@ -73,21 +74,10 @@ def _plain(x):
     """Strip library types down to JSON-friendly values."""
     if isinstance(x, Surjection):
         return list(x.values)
-    if isinstance(x, DecoratedSurjection):
+    if hasattr(x, "to_json"):
         return x.to_json()
     if isinstance(x, LinComb):
         return [{"coefficient": str(c), "element": _plain(k)} for k, c in x.terms()]
-    if isinstance(x, (Shuffle, LeveledTree, ShuffleLeftComb)):
-        return x.to_json()
-    if isinstance(x, bruhat.Cover):
-        return {
-            "source": list(x.source),
-            "i": x.i,
-            "target": list(x.target),
-            "kind": x.kind,
-        }
-    if isinstance(x, derivations.NCPoly):
-        return x.to_json()
     if isinstance(x, QPoly):
         return str(x)
     if isinstance(x, (tuple, list)):
@@ -109,7 +99,7 @@ def check_substitution_units(max_n: int) -> None:
             parts = tuple(corolla(size) for size in t.preimage_sizes())
             under = substitute(t, parts)
             if into != t or under != t:
-                _fail(check="substitution-units", t=t, into=into, under=under)
+                _fail(t=t, into=into, under=under)
 
 
 def check_substitution_associativity(max_n: int) -> None:
@@ -140,7 +130,6 @@ def check_substitution_associativity(max_n: int) -> None:
                     right = substitute(t, tuple(composed))
                     if left != right:
                         _fail(
-                            check="substitution-associativity",
                             t=t,
                             parts=parts,
                             subs=subs,
@@ -173,7 +162,7 @@ def check_diamond(max_n: int) -> None:
             pools = [_arity_candidates(size + 1) for size in sizes]
             for nu, mu, lam in itertools.product(*pools):
                 if not diamond_check(r, lam, mu, nu):
-                    _fail(check="diamond", r=r, lam=lam, mu=mu, nu=nu)
+                    _fail(r=r, lam=lam, mu=mu, nu=nu)
     two = LinComb(
         {
             generator_element("g3", 3): 1,
@@ -182,7 +171,7 @@ def check_diamond(max_n: int) -> None:
     )
     r = Surjection((3, 2, 1, 1))
     if not diamond_check(r, generator_element("g2", 2), generator_element("g2", 2), two):
-        _fail(check="diamond", r=r, note="multilinearity case failed")
+        _fail(r=r, note="multilinearity case failed")
 
 
 def check_sequential(max_n: int) -> None:
@@ -205,7 +194,6 @@ def check_sequential(max_n: int) -> None:
                             rhs = circ_i(lam, circ_i(mu, nu, j), i)
                             if lhs != rhs:
                                 _fail(
-                                    check="sequential-composition",
                                     arities=(l, m, p),
                                     i=i,
                                     j=j,
@@ -241,7 +229,6 @@ def check_unshuffle_substitution(max_n: int) -> None:
                 rhs = compose(blockwise, sigma_t)
                 if lhs != rhs:
                     _fail(
-                        check="unshuffle-substitution",
                         t=t,
                         parts=parts,
                         lhs=list(lhs),
@@ -256,14 +243,14 @@ def check_shuffle_factorization(max_n: int) -> None:
             s = shuffle_of(t)
             factors = shuffle_factorize(s)
             if len(factors) != max(t.k - 1, 0):
-                _fail(check="shuffle-factorization", t=t, factors=factors)
+                _fail(t=t, factors=factors)
             sizes = t.preimage_sizes()
             for j, factor in enumerate(factors, start=1):
                 head = sum(sizes[: t.k - j])
                 if factor.blocks != (head, sizes[t.k - j]):
-                    _fail(check="shuffle-factorization", t=t, factor=factor, j=j)
+                    _fail(t=t, factor=factor, j=j)
             if factors and staged_product(factors, s.blocks) != s:
-                _fail(check="shuffle-factorization", t=t, factors=factors)
+                _fail(t=t, factors=factors)
 
 
 def check_encoding_roundtrips(max_n: int) -> None:
@@ -272,27 +259,27 @@ def check_encoding_roundtrips(max_n: int) -> None:
         for t in enumerate_surjections(n):
             s = shuffle_of(t)
             if surjection_of_shuffle(s) != t:
-                _fail(check="encoding-roundtrips", via="shuffle", t=t)
+                _fail(via="shuffle", t=t)
             if sigma_of(t).values != inverse(s.perm):
-                _fail(check="encoding-roundtrips", via="sigma", t=t)
+                _fail(via="sigma", t=t)
             tr = tree_from_surjection(t)
             if tree_to_surjection(tr) != t:
-                _fail(check="encoding-roundtrips", via="tree", t=t)
+                _fail(via="tree", t=t)
             nested = tree_to_nested(tr)
             if tree_from_nested(nested) != tr:
-                _fail(check="encoding-roundtrips", via="tree-nested", t=t)
+                _fail(via="tree-nested", t=t)
             if LeveledTree.from_json(tr.to_json()) != tr:
-                _fail(check="encoding-roundtrips", via="tree-json", t=t)
+                _fail(via="tree-json", t=t)
             ok, _ = validate_shuffle_tree(strip_levels(nested))
             if not ok:
-                _fail(check="encoding-roundtrips", via="shuffle-condition", t=t)
+                _fail(via="shuffle-condition", t=t)
             c = comb_from_surjection(t)
             if comb_to_surjection(c) != t:
-                _fail(check="encoding-roundtrips", via="comb", t=t)
+                _fail(via="comb", t=t)
             if comb_from_nested(comb_to_nested(c)) != c:
-                _fail(check="encoding-roundtrips", via="comb-nested", t=t)
+                _fail(via="comb-nested", t=t)
             if ShuffleLeftComb.from_json(c.to_json()) != c:
-                _fail(check="encoding-roundtrips", via="comb-json", t=t)
+                _fail(via="comb-json", t=t)
 
 
 GOLDEN_TABLE = [
@@ -340,15 +327,14 @@ def check_golden_table() -> None:
     for values, blocks, perm, comb_nested, leveled, sigma in GOLDEN_TABLE:
         t = Surjection(values)
         s = shuffle_of(t)
-        row = {"t": t}
         if (s.blocks, s.perm) != (blocks, perm):
-            _fail(check="golden-table", **row, got=s, want_blocks=blocks, want_perm=perm)
+            _fail(t=t, got=s, want_blocks=blocks, want_perm=perm)
         if comb_to_nested(comb_from_surjection(t)) != comb_nested:
-            _fail(check="golden-table", **row, got=comb_to_nested(comb_from_surjection(t)))
+            _fail(t=t, got=comb_to_nested(comb_from_surjection(t)))
         if tree_to_nested(tree_from_surjection(t)) != leveled:
-            _fail(check="golden-table", **row, got=tree_to_nested(tree_from_surjection(t)))
+            _fail(t=t, got=tree_to_nested(tree_from_surjection(t)))
         if sigma_of(t).values != sigma:
-            _fail(check="golden-table", **row, got=list(sigma_of(t).values))
+            _fail(t=t, got=list(sigma_of(t).values))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +352,7 @@ def check_free_dimensions(max_n: int) -> None:
         count = len(free_basis(magmatic, n))
         expect = factorial(n - 1)
         if count != expect:
-            _fail(check="free-dimensions", preset="permMag", n=n, count=count, expect=expect)
+            _fail(preset="permMag", n=n, count=count, expect=expect)
     for n in range(2, max_n + 1):
         allgen = GeneratorSet({a: (f"m{a}",) for a in range(2, n + 1)})
         basis = free_basis(allgen, n)
@@ -375,7 +361,7 @@ def check_free_dimensions(max_n: int) -> None:
         for d in basis:
             by_dim[d.t.dim] += 1
         if tuple(by_dim) != fv:
-            _fail(check="free-dimensions", preset="all-arities", n=n, by_dim=by_dim, fv=list(fv))
+            _fail(preset="all-arities", n=n, by_dim=by_dim, fv=list(fv))
 
 
 def _binary_composites() -> list:
@@ -398,7 +384,7 @@ def check_binary_arity_four() -> None:
     """
     composites = _binary_composites()
     if len(composites) != 10:
-        _fail(check="binary-arity-four", count=len(composites))
+        _fail(count=len(composites))
     pairs = [
         ((("mu", 1, "mu"), 1, "mu"), ("mu", 1, ("mu", 1, "mu"))),
         ((("mu", 1, "mu"), 2, "mu"), ("mu", 1, ("mu", 2, "mu"))),
@@ -408,7 +394,6 @@ def check_binary_arity_four() -> None:
     for left, right in pairs:
         if binary_normal_form(left) != binary_normal_form(right):
             _fail(
-                check="binary-arity-four",
                 left=binary_normal_form(left),
                 right=binary_normal_form(right),
             )
@@ -416,7 +401,7 @@ def check_binary_arity_four() -> None:
     for expr in composites:
         classes.setdefault(binary_normal_form(expr), []).append(expr)
     if len(classes) != 6:
-        _fail(check="binary-arity-four", classes=len(classes))
+        _fail(classes=len(classes))
     singles = sorted(
         str(members[0]) for members in classes.values() if len(members) == 1
     )
@@ -424,7 +409,7 @@ def check_binary_arity_four() -> None:
         [str((("mu", 2, "mu"), 1, "mu")), str((("mu", 1, "mu"), 3, "mu"))]
     )
     if singles != expect:
-        _fail(check="binary-arity-four", singles=singles, expect=expect)
+        _fail(singles=singles, expect=expect)
 
 
 def check_q_normal_form(max_n: int) -> None:
@@ -446,7 +431,6 @@ def check_q_normal_form(max_n: int) -> None:
             exponent = qpermas_normalize(d)
             if exponent != inversions(d.t.values):
                 _fail(
-                    check="q-normal-form",
                     element=d,
                     exponent=exponent,
                     inversions=inversions(d.t.values),
@@ -455,13 +439,13 @@ def check_q_normal_form(max_n: int) -> None:
                 {identity: QPoly.q(exponent)}
             )
             if not diff.is_zero() and not basis.in_span(diff):
-                _fail(check="q-normal-form", element=d, note="not in relation ideal")
+                _fail(element=d, note="not in relation ideal")
         if len(free) - basis.rank != 1:
-            _fail(check="q-normal-form", n=n, note="symbolic quotient not a line")
+            _fail(n=n, note="symbolic quotient not a line")
         minus_one = [specialize(v, -1) for v in vectors]
         dim = len(free) - span_rank(minus_one)
         if dim != 1:
-            _fail(check="q-normal-form", n=n, q=-1, dim=dim)
+            _fail(n=n, q=-1, dim=dim)
 
 
 def check_q_exponent_pins() -> None:
@@ -472,11 +456,10 @@ def check_q_exponent_pins() -> None:
     for expr, expect in ((first, 1), (second, 2)):
         terms = expr.terms()
         if len(terms) != 1:
-            _fail(check="q-exponent-pins", terms=len(terms))
+            _fail(terms=len(terms))
         exponent = qpermas_normalize(terms[0][0])
         if exponent != expect:
             _fail(
-                check="q-exponent-pins",
                 element=terms[0][0],
                 exponent=exponent,
                 expect=expect,
@@ -487,11 +470,11 @@ def check_associative_shuffle_dims() -> None:
     """The two-generator shuffle-associative quotient has dims 6 and 24."""
     gens, rels = PRESETS["permAsSh"]()
     if len(free_basis(gens, 4)) != 48:
-        _fail(check="associative-shuffle-dims", free=len(free_basis(gens, 4)))
+        _fail(free=len(free_basis(gens, 4)))
     for n, expect in ((3, 6), (4, 24)):
         dim = quotient_dim(rels, gens, n)
         if dim != expect:
-            _fail(check="associative-shuffle-dims", n=n, dim=dim, expect=expect)
+            _fail(n=n, dim=dim, expect=expect)
 
 
 # ---------------------------------------------------------------------------
@@ -501,23 +484,23 @@ def check_associative_shuffle_dims() -> None:
 def check_f_vectors(max_n: int) -> None:
     """Cell counts per dimension: vertices n!, facets 2^n - 2, one top cell."""
     if chains.f_vector(3) != (6, 6, 1):
-        _fail(check="permutohedron-f-vectors", n=3, got=list(chains.f_vector(3)))
+        _fail(n=3, got=list(chains.f_vector(3)))
     if chains.f_vector(4) != (24, 36, 14, 1):
-        _fail(check="permutohedron-f-vectors", n=4, got=list(chains.f_vector(4)))
+        _fail(n=4, got=list(chains.f_vector(4)))
     for n in range(2, max_n + 1):
         fv = chains.f_vector(n)
         total = len(enumerate_surjections(n))
         if fv[0] != factorial(n) or fv[n - 2] != 2**n - 2 or fv[n - 1] != 1:
-            _fail(check="permutohedron-f-vectors", n=n, got=list(fv))
+            _fail(n=n, got=list(fv))
         if sum(fv) != total:
-            _fail(check="permutohedron-f-vectors", n=n, total=sum(fv), expect=total)
+            _fail(n=n, total=sum(fv), expect=total)
 
 
 def check_boundary_squared(max_n: int) -> None:
     """The cellular differential squares to zero."""
     for n in range(2, max_n + 1):
         if not chains.double_boundary_vanishes(n):
-            _fail(check="boundary-squared", n=n)
+            _fail(n=n)
 
 
 HEXAGON = {
@@ -535,11 +518,11 @@ def check_boundary_pins() -> None:
     hexagon = chains.boundary_of_top(3)
     want = LinComb({Surjection(v): c for v, c in HEXAGON.items()})
     if hexagon != want:
-        _fail(check="boundary-pins", got=hexagon, want=want)
+        _fail(got=hexagon, want=want)
     interval = chains.boundary_of_top(2)
     want2 = LinComb({Surjection((2, 1)): 1, Surjection((1, 2)): -1})
     if interval != want2:
-        _fail(check="boundary-pins", got=interval, want=want2)
+        _fail(got=interval, want=want2)
 
 
 def check_homology(max_n: int) -> None:
@@ -547,7 +530,7 @@ def check_homology(max_n: int) -> None:
     for n in range(1, max_n + 1):
         ranks = chains.homology_ranks(n)
         if ranks != (1,) + (0,) * (n - 1):
-            _fail(check="homology-contractible", n=n, ranks=list(ranks))
+            _fail(n=n, ranks=list(ranks))
 
 
 def check_leibniz(max_n: int) -> None:
@@ -557,7 +540,7 @@ def check_leibniz(max_n: int) -> None:
             if m + n > max_n:
                 continue
             if not chains.dg_leibniz_check(m, n):
-                _fail(check="differential-leibniz", m=m, n=n)
+                _fail(m=m, n=n)
 
 
 def check_skeleton_covers(max_n: int) -> None:
@@ -569,7 +552,6 @@ def check_skeleton_covers(max_n: int) -> None:
         covers = {(c.source, c.target) for c in bruhat.cover_graph(n)}
         if edges != covers:
             _fail(
-                check="skeleton-covers",
                 n=n,
                 extra=sorted(edges - covers),
                 missing=sorted(covers - edges),
@@ -585,23 +567,23 @@ def check_bruhat(max_n: int) -> None:
     for n in range(2, min(max_n, 6) + 1):
         for c in bruhat.cover_graph(n):
             if bruhat.length(c.target) != bruhat.length(c.source) + 1:
-                _fail(check="bruhat-structure", cover=c)
+                _fail(cover=c)
             if bruhat.tree_rotation_kind(c.source, c.i) != c.kind:
-                _fail(check="bruhat-structure", cover=c, note="kind mismatch")
+                _fail(cover=c, note="kind mismatch")
     three = bruhat.cover_graph(3)
     type2 = [c for c in three if c.kind == 2]
     if len(three) != 6 or len(type2) != 1:
-        _fail(check="bruhat-structure", covers=len(three), type2=len(type2))
+        _fail(covers=len(three), type2=len(type2))
     pin = type2[0]
     if (pin.source, pin.i, pin.target) != ((1, 3, 2), 1, (2, 3, 1)):
-        _fail(check="bruhat-structure", cover=pin)
+        _fail(cover=pin)
     want_path = [(1, 3, 2), (1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1), (2, 3, 1)]
     if bruhat.admissible_path((1, 3, 2), 1) != want_path:
-        _fail(check="bruhat-structure", path=bruhat.admissible_path((1, 3, 2), 1))
+        _fail(path=bruhat.admissible_path((1, 3, 2), 1))
     for n in range(2, max_n + 1):
         connected, tree = bruhat.type1_connected(n)
         if not connected or len(tree) != factorial(n) - 1:
-            _fail(check="bruhat-structure", n=n, connected=connected, tree=len(tree))
+            _fail(n=n, connected=connected, tree=len(tree))
     for n in range(2, min(max_n, 5) + 1):
         kind1 = {
             frozenset((c.source, c.target))
@@ -613,10 +595,10 @@ def check_bruhat(max_n: int) -> None:
                 continue
             path = bruhat.admissible_path(c.source, c.i)
             if path[0] != c.source or path[-1] != c.target:
-                _fail(check="bruhat-structure", cover=c, path=path)
+                _fail(cover=c, path=path)
             for u, v in zip(path, path[1:]):
                 if frozenset((u, v)) not in kind1:
-                    _fail(check="bruhat-structure", cover=c, step=[list(u), list(v)])
+                    _fail(cover=c, step=[list(u), list(v)])
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +608,7 @@ def check_bruhat(max_n: int) -> None:
 def check_derivation_relations() -> None:
     """Associativity, the Leibniz rule and the mixed exchange laws hold."""
     if not derivations.asder_relations_check():
-        _fail(check="derivation-relations")
+        _fail()
 
 
 def check_derivation_monomials(max_n: int) -> None:
@@ -637,7 +619,7 @@ def check_derivation_monomials(max_n: int) -> None:
                 poly = derivations.asder_monomial(js, n)
                 want = derivations.NCPoly.monomial(js, n)
                 if poly != want:
-                    _fail(check="derivation-monomials", js=list(js), n=n, got=poly)
+                    _fail(js=list(js), n=n, got=poly)
 
 
 def check_derivation_diamond() -> None:
@@ -656,7 +638,6 @@ def check_derivation_diamond() -> None:
                         if derivations.graft_is_chain(lam.nvars, m.nvars, S, T):
                             if not derivations.asder_diamond_check(lam, m, nu, S, T):
                                 _fail(
-                                    check="derivation-diamond",
                                     S=list(S),
                                     T=list(T),
                                     note="nested graft orders disagree",
@@ -669,17 +650,16 @@ def check_derivation_diamond() -> None:
                                 parallel += 1
                             else:
                                 _fail(
-                                    check="derivation-diamond",
                                     S=list(S),
                                     T=list(T),
                                     note="parallel graft accepted",
                                 )
     if nested == 0 or parallel == 0:
-        _fail(check="derivation-diamond", nested=nested, parallel=parallel)
+        _fail(nested=nested, parallel=parallel)
     left = derivations.asder_circ(derivations.asder_circ(mu, D, 1), D, 2)
     right = derivations.asder_circ(derivations.asder_circ(mu, D, 2), D, 1)
     if left == right:
-        _fail(check="derivation-diamond", note="parallel grafts unexpectedly commute")
+        _fail(note="parallel grafts unexpectedly commute")
 
 
 # ---------------------------------------------------------------------------
@@ -746,10 +726,13 @@ def run_check(
 ) -> int | None:
     """Run one check at the requested or default bound; return the bound."""
     bound = bound_for(check, max_n, ceiling)
-    if bound is None:
-        check.run()
-    else:
-        check.run(bound)
+    try:
+        if bound is None:
+            check.run()
+        else:
+            check.run(bound)
+    except CheckFailed as exc:
+        raise CheckFailed({"check": check.name, **exc.witness}) from None
     return bound
 
 

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from permutads.bruhat import (
     admissible_path,
     all_words,
     bruhat_dot,
+    cover_connected,
     cover_graph,
     cover_kind,
     covers,
@@ -78,6 +81,18 @@ def test_type1_spanning_tree(n):
     size = len(all_words(n))
     assert len(tree) == size - 1
     assert all(c.kind == 1 for c in tree)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_full_order_spanning_tree(n):
+    connected, tree = cover_connected(n)
+    assert connected
+    assert len(tree) == factorial(n) - 1
+    assert {w for c in tree for w in (c.source, c.target)} == set(all_words(n))
+
+
+def test_kind2_covers_alone_leave_the_identity_isolated():
+    assert cover_connected(3, (2,)) == (False, [])
 
 
 def test_admissible_path_pin():

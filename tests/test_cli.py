@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import permutads
+from permutads import bruhat
 from permutads.cli import build_parser, main
 from permutads.verify import CHECKS
 
@@ -218,6 +219,22 @@ def test_bruhat_check_connected_pin(capsys):
     assert out == '{"connected": true, "vertices": 6, "edges": 5}\n'
 
 
+def test_bruhat_check_connected_searches_the_full_order(capsys, monkeypatch):
+    code, out, _ = run(capsys, "bruhat", "--n", "3", "--check-connected")
+    assert code == 0
+    assert out == '{"connected": true, "vertices": 6, "edges": 6}\n'
+    # With every cover into the top word gone, nothing reaches it.
+    real = bruhat.cover_graph
+    monkeypatch.setattr(
+        bruhat, "cover_graph", lambda n: [c for c in real(n) if c.target != (3, 2, 1)]
+    )
+    code, out, _ = run(capsys, "bruhat", "--n", "3", "--check-connected")
+    assert code == 0
+    assert out == '{"connected": false, "vertices": 6, "edges": 4}\n'
+    code, out, _ = run(capsys, "bruhat", "--n", "3", "--type1-only", "--check-connected")
+    assert out == '{"connected": false, "vertices": 6, "edges": 3}\n'
+
+
 def test_bruhat_cover_stream(capsys):
     code, out, _ = run(capsys, "bruhat", "--n", "3")
     assert code == 0
@@ -225,6 +242,9 @@ def test_bruhat_cover_stream(capsys):
     assert len(rows) == 6
     kind2 = [row for row in rows if row["kind"] == 2]
     assert kind2 == [{"source": [1, 3, 2], "i": 1, "target": [2, 3, 1], "kind": 2}]
+    line = json.dumps(bruhat.Cover((1, 3, 2), 1, (2, 3, 1), 2).to_json())
+    assert line == '{"source": [1, 3, 2], "i": 1, "target": [2, 3, 1], "kind": 2}'
+    assert line in out.splitlines()
 
 
 def test_bruhat_dot(capsys):

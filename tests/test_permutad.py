@@ -1,5 +1,4 @@
 import itertools
-import json
 from math import factorial
 
 import pytest
@@ -35,7 +34,7 @@ def test_generator_set_validation():
         GeneratorSet({1: ("D",)})
     with pytest.raises(ValueError):
         GeneratorSet({2: ("a", "a")})
-    assert GeneratorSet({3: ("c",), 2: ("a",)}).arities() == (2, 3)
+    assert GeneratorSet({3: ("c",), 2: ("a",)}).by_arity == ((2, ("a",)), (3, ("c",)))
 
 
 def test_decorated_surjection_validation():
@@ -43,8 +42,6 @@ def test_decorated_surjection_validation():
         DecoratedSurjection(Surjection((1, 2)), ("mu",))
     d = DecoratedSurjection(Surjection((1, 2, 1)), ("a", "b"))
     assert d.arity == 4
-    assert d.csv_key() == "1-2-1:a.b"
-    assert DecoratedSurjection.from_json(json.loads(json.dumps(d.to_json()))) == d
 
 
 def test_arity_of_rejects_mixed_terms():

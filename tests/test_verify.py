@@ -67,7 +67,7 @@ def test_iter_checks_stops_at_the_first_failure(monkeypatch):
     ran = []
 
     def boom(n):
-        verify._fail(check="boom", n=n)
+        verify._fail(n=n)
 
     def later(n):
         ran.append(n)
@@ -83,7 +83,6 @@ def test_iter_checks_stops_at_the_first_failure(monkeypatch):
 def test_witnesses_are_json_serializable():
     with pytest.raises(CheckFailed) as exc:
         verify._fail(
-            check="demo",
             cell=Surjection((1, 2, 1)),
             chain=LinComb({Surjection((1, 2)): 1}),
             coeff=QPoly.q(),
