@@ -18,6 +18,7 @@ the admissible paths, kind-1 paths joining the two ends of a cover.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -129,6 +130,20 @@ def tree_rotation_kind(word: tuple[int, ...], i: int) -> int:
     return 1 if made_at[i] in merged else 2
 
 
+@functools.lru_cache(maxsize=1)  # the latest graph only: n = 7's is large
+def _adjacency(n: int, kinds: tuple[int, ...]) -> dict:
+    """Each word's covers of the given kinds, with their other ends, sorted."""
+    _adjacency.cache_clear()  # never hold two graphs: drop the last one first
+    adjacency: dict[tuple[int, ...], list[tuple[Cover, tuple[int, ...]]]] = {}
+    for c in cover_graph(n):
+        if c.kind in kinds:
+            adjacency.setdefault(c.source, []).append((c, c.target))
+            adjacency.setdefault(c.target, []).append((c, c.source))
+    for pairs in adjacency.values():
+        pairs.sort()
+    return adjacency
+
+
 def _search(root: tuple[int, ...], kinds, goal=None) -> dict:
     """Breadth-first search from root over covers of the given kinds.
 
@@ -137,17 +152,13 @@ def _search(root: tuple[int, ...], kinds, goal=None) -> dict:
     Maps every word reached to the cover that reached it and the previous
     word (root to None), in the order reached; stops once goal is reached.
     """
-    adjacency: dict[tuple[int, ...], list[tuple[Cover, tuple[int, ...]]]] = {}
-    for c in cover_graph(len(root)):
-        if c.kind in kinds:
-            adjacency.setdefault(c.source, []).append((c, c.target))
-            adjacency.setdefault(c.target, []).append((c, c.source))
+    adjacency = _adjacency(len(root), tuple(kinds))
     reached: dict = {root: None}
     frontier = [root]
     while frontier and goal not in reached:
         nxt = []
         for w in frontier:
-            for c, other in sorted(adjacency.get(w, ())):
+            for c, other in adjacency.get(w, ()):
                 if other not in reached:
                     reached[other] = (c, w)
                     nxt.append(other)

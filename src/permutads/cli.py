@@ -4,10 +4,10 @@ Machine-oriented by design: enumerations and covers stream out as one JSON
 object per line, boundaries also come as ``row,key,coeff`` CSV, graphs as
 DOT.  All output is deterministic, so reruns are byte-identical.  Domain
 errors produce a single JSON object on stderr and exit code 1; argument
-errors exit with 2.  The environment variable ``PERMUTAD_MAX_N`` replaces
-the per-command size bounds, which default to 6 for chain complexes and 7
-elsewhere, every preset quotient included.  A reader that closes the output
-early (``| head``) ends the run with exit code 1 and nothing on stderr.
+errors exit with 2.  Every command bounds its size by 7, every preset
+quotient included; the environment variable ``PERMUTAD_MAX_N`` replaces that
+bound.  A reader that closes the output early (``| head``) ends the run with
+exit code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .trees import (
 )
 from .verify import CHECKS, bound_for, iter_checks
 
-COMPLEX_BOUND = 6
 DEFAULT_BOUND = 7
 
 
@@ -70,9 +69,9 @@ def _env_cap() -> int | None:
         raise DomainError(f"PERMUTAD_MAX_N must be an integer, got {raw!r}")
 
 
-def _require_size(n: int, what: str, default: int) -> None:
+def _require_size(n: int, what: str) -> None:
     cap = _env_cap()
-    cap = default if cap is None else cap
+    cap = DEFAULT_BOUND if cap is None else cap
     if n > cap:
         raise DomainError(
             f"n={n} exceeds the {what} bound {cap};"
@@ -114,7 +113,7 @@ def _cell_json(t: Surjection) -> dict:
 
 
 def cmd_enum(args) -> int:
-    _require_size(args.n, "enumeration", DEFAULT_BOUND)
+    _require_size(args.n, "enumeration")
     ts = enumerate_surjections(args.n, args.k)
     if args.kind == "cells":
         ts.sort(key=lambda t: (t.dim, t.values))
@@ -163,7 +162,7 @@ def cmd_convert(args) -> int:
             raise DomainError(f"input line {lineno} is nested too deeply", line=lineno)
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"bad {args.from_kind} on input line {lineno}: {exc}")
-        _require_size(t.n, "conversion", DEFAULT_BOUND)
+        _require_size(t.n, "conversion")
         _emit(_TO[args.to_kind](t))
     return 0
 
@@ -181,7 +180,7 @@ def _boundary_cells(n: int, dim: int | None) -> list[Surjection]:
 
 
 def cmd_boundary(args) -> int:
-    _require_size(args.n, "complex", COMPLEX_BOUND)
+    _require_size(args.n, "complex")
     selected = _boundary_cells(args.n, args.dim)
     if args.format == "csv":
         vectors = [chains.boundary_of_cell(t) for t in selected]
@@ -198,7 +197,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    _require_size(args.n, "complex", COMPLEX_BOUND)
+    _require_size(args.n, "complex")
     fv, betti = chains.homology(args.n)
     _emit({"n": args.n, "f_vector": list(fv), "betti": list(betti)})
     return 0
@@ -217,13 +216,13 @@ def cmd_bruhat(args) -> int:
             raise DomainError(f"--path wants an integer level, got {args.path[1]!r}")
         if args.n is not None and args.n != len(word):
             raise DomainError(f"--n {args.n} does not match a word of {len(word)} letters")
-        _require_size(len(word), "weak order", DEFAULT_BOUND)
+        _require_size(len(word), "weak order")
         path = bruhat.admissible_path(word, i)
         _emit({"path": [list(w) for w in path]})
         return 0
     if args.n is None:
         args.parser.error("--n is required unless --path is given")
-    _require_size(args.n, "weak order", DEFAULT_BOUND)
+    _require_size(args.n, "weak order")
     kinds = (1,) if args.type1_only else (1, 2)
     if args.check_connected:
         connected, _ = bruhat.cover_connected(args.n, kinds)
@@ -246,7 +245,7 @@ def cmd_bruhat(args) -> int:
 
 def cmd_qnormalize(args) -> int:
     word = _ints(args.perm, "--perm")
-    _require_size(len(word), "normal form", DEFAULT_BOUND)
+    _require_size(len(word), "normal form")
     t = Surjection(word)
     if not t.is_permutation():
         raise DomainError(f"--perm wants a permutation word, got {list(word)}")
@@ -258,7 +257,7 @@ def cmd_qnormalize(args) -> int:
 def cmd_asder_compose(args) -> int:
     outer = _poly_arg(args.outer, "--outer")
     inner = _poly_arg(args.inner, "--inner")
-    _require_size(outer.nvars + inner.nvars - 1, "composition", DEFAULT_BOUND)
+    _require_size(outer.nvars + inner.nvars - 1, "composition")
     if args.shape is not None:
         shape = Surjection(_ints(args.shape, "--shape"))
     else:
@@ -269,13 +268,13 @@ def cmd_asder_compose(args) -> int:
 
 def cmd_asder_monomial(args) -> int:
     letters = _ints(args.letters, "--letters")
-    _require_size(args.n, "composition", DEFAULT_BOUND)
+    _require_size(args.n, "composition")
     _emit(asder_monomial(letters, args.n).to_json())
     return 0
 
 
 def cmd_permutad_dim(args) -> int:
-    _require_size(args.n, f"{args.preset} quotient", DEFAULT_BOUND)
+    _require_size(args.n, f"{args.preset} quotient")
     gens, relations = PRESETS[args.preset]()
     free = len(free_basis(gens, args.n))
     dim = free - span_rank(ideal_vectors(relations, gens, args.n))
@@ -408,16 +407,6 @@ def main(argv=None) -> int:
         return 1
     except DomainError as exc:
         _emit_error(exc.payload)
-        return 1
-    except json.JSONDecodeError as exc:
-        _emit_error(
-            {
-                "error": f"malformed JSON: {exc.msg}",
-                "line": exc.lineno,
-                "column": exc.colno,
-                "position": exc.pos,
-            }
-        )
         return 1
     except ValueError as exc:
         _emit_error({"error": str(exc)})

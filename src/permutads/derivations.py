@@ -54,7 +54,6 @@ class NCPoly:
             raise ValueError(f"negative variable count {self.nvars}")
         acc: dict[tuple[int, ...], Fraction] = {}
         for word, coeff in self.terms:
-            word = tuple(word)
             for letter in word:
                 if not 1 <= letter <= self.nvars:
                     raise ValueError(
@@ -276,23 +275,23 @@ def asder_monomial(js: tuple[int, ...], n: int) -> NCPoly:
     return alpha
 
 
-def asder_relations_check(max_vars: int = 3, max_degree: int = 3) -> bool:
+def asder_relations_check() -> bool:
     """The four defining relations, checked exactly.
 
     Associativity and the derivation rule are single identities; the two
     parallel commutation families range over all monomials alpha with at
-    most max_vars variables and degree at most max_degree, and all slot
-    pairs i < j that make both sides well formed.
+    most 3 variables and degree at most 3, and all slot pairs i < j that
+    make both sides well formed.
     """
     if asder_circ(MU, MU, 1) != asder_circ(MU, MU, 2):
         return False
     derived = asder_compose(DERIVATION, MU, Surjection((1, 1)))
     if derived != asder_circ(MU, DERIVATION, 1) + asder_circ(MU, DERIVATION, 2):
         return False
-    for a in range(1, max_vars + 1):
+    for a in range(1, 4):
         words = [
             w
-            for d in range(max_degree + 1)
+            for d in range(4)
             for w in itertools.product(range(1, a + 1), repeat=d)
         ]
         for word in words:

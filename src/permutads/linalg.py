@@ -133,8 +133,8 @@ class LinComb:
         self._terms = {k: c for k, c in data.items() if c}
 
     @staticmethod
-    def single(key, coeff=1) -> "LinComb":
-        return LinComb({key: coeff})
+    def single(key) -> "LinComb":
+        return LinComb({key: 1})
 
     def terms(self) -> tuple:
         return tuple(sorted(self._terms.items(), key=lambda kc: kc[0]))

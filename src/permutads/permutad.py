@@ -44,11 +44,8 @@ class GeneratorSet:
 
     by_arity: tuple[tuple[int, tuple[str, ...]], ...]
 
-    def __init__(self, by_arity) -> None:
-        if isinstance(by_arity, dict):
-            items = tuple(sorted((a, tuple(names)) for a, names in by_arity.items()))
-        else:
-            items = tuple((a, tuple(names)) for a, names in by_arity)
+    def __init__(self, by_arity: dict) -> None:
+        items = tuple(sorted((a, tuple(names)) for a, names in by_arity.items()))
         object.__setattr__(self, "by_arity", items)
         for a, names in items:
             if a < 2:
@@ -71,7 +68,6 @@ class DecoratedSurjection:
     decorations: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "decorations", tuple(self.decorations))
         if len(self.decorations) != self.t.k:
             raise ValueError(
                 f"{self.t.k} vertices but {len(self.decorations)} decorations"
@@ -297,10 +293,10 @@ def qpermas_normalize(d: DecoratedSurjection) -> int:
     return inversions(d.t.values)
 
 
-def binary_normal_form(expr, generator: str = "mu") -> DecoratedSurjection:
-    """Evaluate a nested partial-composition expression of one binary generator.
+def binary_normal_form(expr) -> DecoratedSurjection:
+    """Evaluate a nested partial-composition expression of the generator mu.
 
-    Expressions are the generator name itself or triples (left, slot, right)
+    Expressions are the name ``"mu"`` itself or triples (left, slot, right)
     meaning ``left composed with right at slot``.  The value is always a
     single decorated permutation, the leveled-binary-tree basis element.
 
@@ -309,9 +305,9 @@ def binary_normal_form(expr, generator: str = "mu") -> DecoratedSurjection:
     """
     def evaluate(e) -> LinComb:
         if isinstance(e, str):
-            if e != generator:
+            if e != "mu":
                 raise ValueError(f"unknown generator {e!r}")
-            return LinComb.single(generator_element(generator, 2))
+            return LinComb.single(generator_element("mu", 2))
         if not (isinstance(e, tuple) and len(e) == 3):
             raise ValueError(f"malformed expression node: {e!r}")
         left, slot, right = e

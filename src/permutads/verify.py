@@ -563,7 +563,8 @@ def check_skeleton_covers(max_n: int) -> None:
 
 
 def check_bruhat(max_n: int) -> None:
-    """Cover structure: lengths, the two kinds, connectivity, pinned paths."""
+    """Lengths and kinds of every cover to n = 6, kind-1 connectivity to
+    max_n, pinned paths, and every kind-2 cover's admissible path to n = 5."""
     for n in range(2, min(max_n, 6) + 1):
         for c in bruhat.cover_graph(n):
             if bruhat.length(c.target) != bruhat.length(c.source) + 1:

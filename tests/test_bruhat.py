@@ -1,8 +1,11 @@
+import hashlib
+import json
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from permutads import bruhat
 from permutads.bruhat import (
     Cover,
     admissible_path,
@@ -124,6 +127,37 @@ def test_admissible_paths_use_kind1_steps(word):
         assert path[0] == word and path[-1] == c.target
         for u, v in zip(path, path[1:]):
             assert frozenset((u, v)) in kind1
+
+
+def test_every_admissible_path_up_to_five_letters_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 6):
+        for c in cover_graph(n):
+            if c.kind == 2:
+                path = admissible_path(c.source, c.i)
+                digest.update((json.dumps([list(w) for w in path]) + "\n").encode())
+                count += 1
+    assert count == 97
+    assert digest.hexdigest() == (
+        "ee621482f7002d22698bb8fbcda8bd4313a2c1bfa8113df8e270bf5c857f69cf"
+    )
+
+
+def test_paths_on_one_word_length_share_one_cover_graph(monkeypatch):
+    kind2 = [c for c in cover_graph(5) if c.kind == 2]
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return cover_graph(n)
+
+    admissible_path((1, 3, 2), 1)  # a search on another word length first
+    monkeypatch.setattr(bruhat, "cover_graph", counted)
+    for c in kind2:
+        admissible_path(c.source, c.i)
+    assert len(kind2) == 86
+    assert len(calls) <= 1
 
 
 def test_path_requires_an_ascent():

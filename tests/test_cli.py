@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -204,6 +205,23 @@ def test_homology_pin(capsys):
     assert out == '{"n": 3, "f_vector": [6, 6, 1], "betti": [1, 0, 0]}\n'
 
 
+def test_homology_reaches_seven_letters_at_the_default_bound(capsys, monkeypatch):
+    monkeypatch.delenv("PERMUTAD_MAX_N", raising=False)
+    code, out, err = run(capsys, "homology", "--n", "7")
+    assert code == 0 and err == ""
+    row = json.loads(out)
+    assert row["f_vector"] == [5040, 15120, 16800, 8400, 1806, 126, 1]
+    assert row["betti"] == [1, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("command", ["homology", "boundary"])
+def test_complexes_stop_at_the_shared_bound(capsys, monkeypatch, command):
+    monkeypatch.delenv("PERMUTAD_MAX_N", raising=False)
+    code, out, err = run(capsys, command, "--n", "8")
+    assert code == 1 and out == ""
+    assert json.loads(err)["bound"] == 7
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_homology_needs_a_letter(capsys, n):
     code, out, err = run(capsys, "homology", "--n", n)
@@ -223,11 +241,14 @@ def test_bruhat_check_connected_searches_the_full_order(capsys, monkeypatch):
     code, out, _ = run(capsys, "bruhat", "--n", "3", "--check-connected")
     assert code == 0
     assert out == '{"connected": true, "vertices": 6, "edges": 6}\n'
-    # With every cover into the top word gone, nothing reaches it.
+    # With every cover into the top word gone, nothing reaches it.  The
+    # search keeps the latest graph it read, so it gets a cache of its own.
     real = bruhat.cover_graph
     monkeypatch.setattr(
         bruhat, "cover_graph", lambda n: [c for c in real(n) if c.target != (3, 2, 1)]
     )
+    fresh = functools.lru_cache(maxsize=1)(bruhat._adjacency.__wrapped__)
+    monkeypatch.setattr(bruhat, "_adjacency", fresh)
     code, out, _ = run(capsys, "bruhat", "--n", "3", "--check-connected")
     assert code == 0
     assert out == '{"connected": false, "vertices": 6, "edges": 4}\n'
@@ -413,12 +434,13 @@ def test_verify_refuses_an_env_ceiling_below_one(capsys, monkeypatch):
     assert json.loads(err)["bound"] == 0
 
 
-def test_size_bound_error_payload(capsys):
+def test_size_bound_error_payload(capsys, monkeypatch):
+    monkeypatch.delenv("PERMUTAD_MAX_N", raising=False)
     code, out, err = run(capsys, "homology", "--n", "99")
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["n"] == 99
-    assert payload["bound"] == 6
+    assert payload["bound"] == 7
     assert "PERMUTAD_MAX_N" in payload["error"]
 
 
