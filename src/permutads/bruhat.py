@@ -178,6 +178,12 @@ def cover_connected(n: int, kinds=(1, 2)) -> tuple[bool, list[Cover]]:
     return len(reached) == len(words), [c for c, _ in list(reached.values())[1:]]
 
 
+def cover_count(n: int, kinds) -> int:
+    """The number of covers of the given kinds, read off the adjacency the
+    search keeps, so a count after a search builds no graph."""
+    return sum(map(len, _adjacency(n, tuple(kinds)).values())) // 2
+
+
 def type1_connected(n: int) -> tuple[bool, list[Cover]]:
     """Whether kind-1 covers connect all words, with a spanning tree."""
     return cover_connected(n, (1,))

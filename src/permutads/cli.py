@@ -20,13 +20,13 @@ import sys
 
 from . import bruhat, chains
 from .derivations import NCPoly, asder_compose, asder_monomial
-from .linalg import csv_triples, span_rank
+from .linalg import csv_triples
 from .permutad import (
     DecoratedSurjection,
     PRESETS,
-    free_basis,
-    ideal_vectors,
+    free_dimension,
     qpermas_normalize,
+    quotient_dim,
 )
 from .shuffles import Shuffle, shuffle_of, surjection_of_shuffle
 from .surjections import Surjection, enumerate_surjections
@@ -226,7 +226,7 @@ def cmd_bruhat(args) -> int:
     kinds = (1,) if args.type1_only else (1, 2)
     if args.check_connected:
         connected, _ = bruhat.cover_connected(args.n, kinds)
-        edges = sum(1 for c in bruhat.cover_graph(args.n) if c.kind in kinds)
+        edges = bruhat.cover_count(args.n, kinds)
         vertices = len(bruhat.all_words(args.n))
         _emit({"connected": connected, "vertices": vertices, "edges": edges})
         return 0
@@ -276,14 +276,12 @@ def cmd_asder_monomial(args) -> int:
 def cmd_permutad_dim(args) -> int:
     _require_size(args.n, f"{args.preset} quotient")
     gens, relations = PRESETS[args.preset]()
-    free = len(free_basis(gens, args.n))
-    dim = free - span_rank(ideal_vectors(relations, gens, args.n))
     _emit(
         {
             "preset": args.preset,
             "arity": args.n,
-            "free_dimension": free,
-            "dimension": dim,
+            "free_dimension": free_dimension(gens, args.n),
+            "dimension": quotient_dim(relations, gens, args.n),
         }
     )
     return 0

@@ -12,6 +12,15 @@ block of the result).  Quotients are handled degree-wise: the arity-n
 component of the ideal generated by homogeneous relations is spanned by all
 gamma composites with exactly one vertex fed by a relation, every other
 vertex fed by a generator.
+
+A composite of basis elements is one basis element, so a relation with at
+most two terms, each coefficient a unit monomial +-q^e, makes every such
+vector a binomial of the same shape: an edge of a graph on the free basis.
+:class:`BinomialQuotient` reads the quotient off that graph with a
+weighted union-find and no elimination; every preset is of this kind.  A
+relation of any other shape sends :func:`quotient_dim` to
+:func:`~permutads.linalg.span_rank` over :func:`ideal_vectors`.  Free
+dimensions are counted by :func:`free_dimension`, not listed.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .linalg import LinComb, QPoly, span_rank
 from .surjections import (
@@ -192,6 +202,26 @@ def diamond_check(r: Surjection, lam, mu, nu) -> bool:
     return left == right == direct
 
 
+def free_dimension(M: GeneratorSet, n: int) -> int:
+    """The number of decorated surjections of arity n, counted, not listed.
+
+    A decorated surjection on m = n - 1 inputs is an ordered set partition
+    of 1..m, each block of size s weighted by the generators of arity s + 1.
+    Choosing the first block gives f[0] = 1 and f[i] = sum over s of
+    C(i, s) * |names(s + 1)| * f[i - s].
+
+    >>> [free_dimension(GeneratorSet({2: ("mu",)}), n) for n in range(1, 6)]
+    [1, 1, 2, 6, 24]
+    """
+    if n < 1:
+        raise ValueError(f"arity must be >= 1, got {n}")
+    weights = [len(M.names_of_arity(s + 1)) for s in range(n)]
+    f = [1]
+    for i in range(1, n):
+        f.append(sum(comb(i, s) * weights[s] * f[i - s] for s in range(1, i + 1)))
+    return f[n - 1]
+
+
 def free_basis(M: GeneratorSet, n: int) -> list[DecoratedSurjection]:
     """All decorated surjections of arity n, surjection then decoration order.
 
@@ -216,6 +246,40 @@ def free_basis(M: GeneratorSet, n: int) -> list[DecoratedSurjection]:
 # ---------------------------------------------------------------------------
 # Relations, ideals, quotients.
 
+def _slot_vectors(relations, M: GeneratorSet, n: int, coeff):
+    """Each generator-slot vector of the arity-n ideal, as its list of terms
+    ((values, decorations), c), one term per term of its relation.
+
+    A relation r sits at one vertex of a surjection t and a generator at
+    every other vertex; each vector is written straight from the terms of r
+    substituted at its vertex.  Every coefficient of r is mapped once by
+    ``coeff``, so each caller picks the form it reads.
+    """
+    corollas = [corolla(s) for s in range(n)]
+    names = [M.names_of_arity(s + 1) for s in range(n)]
+    for rel in relations:
+        r_arity = arity_of(rel)
+        terms = [(d, coeff(c)) for d, c in rel.terms()]
+        for t in enumerate_surjections(n - 1):
+            sizes = t.preimage_sizes()
+            pools = [names[s] for s in sizes]
+            for hot, size in enumerate(sizes):
+                others = pools[:hot] + pools[hot + 1:]
+                if size + 1 != r_arity or not all(others):
+                    continue
+                parts = [corollas[s] for s in sizes]
+                images = []
+                for d, c in terms:
+                    parts[hot] = d.t
+                    images.append((substitute(t, tuple(parts)).values, d.decorations, c))
+                for chosen in itertools.product(*others):
+                    before, after = chosen[:hot], chosen[hot:]
+                    yield [
+                        ((values, before + decorations + after), c)
+                        for values, decorations, c in images
+                    ]
+
+
 def ideal_vectors(relations, M: GeneratorSet, n: int) -> list[LinComb]:
     """Spanning vectors of the arity-n ideal component, in deterministic order.
 
@@ -223,41 +287,133 @@ def ideal_vectors(relations, M: GeneratorSet, n: int) -> list[LinComb]:
     at one vertex of t and a generator g at every other vertex: the
     tree-monomial spanning set of an operadic ideal.  Free basis elements in
     the other vertices would add nothing, since by associativity of gamma
-    such a composite is again one of these.  Each vector is written straight
-    from the terms of r substituted at its vertex.
+    such a composite is again one of these.
     """
-    if any(isinstance(c, QPoly) for rel in relations for _, c in rel.terms()):
-        relations = [
-            rel.map_coeffs(lambda c: c if isinstance(c, QPoly) else QPoly.const(c))
-            for rel in relations
-        ]
-    vectors: list[LinComb] = []
-    for rel in relations:
-        r_arity = arity_of(rel)
-        terms = rel.terms()
-        for t in enumerate_surjections(n - 1):
-            sizes = t.preimage_sizes()
-            pools = [M.names_of_arity(size + 1) for size in sizes]
-            for hot in range(t.k):
-                others = pools[:hot] + pools[hot + 1:]
-                if sizes[hot] + 1 != r_arity or not all(others):
-                    continue
-                parts = [corolla(size) for size in sizes]
-                images = []
-                for d, c in terms:
-                    parts[hot] = d.t
-                    images.append((substitute(t, tuple(parts)), d.decorations, c))
-                for names in itertools.product(*others):
-                    before, after = names[:hot], names[hot:]
-                    vectors.append(LinComb({
-                        DecoratedSurjection(flat, before + decorations + after): c
-                        for flat, decorations, c in images
-                    }))
-    return vectors
+    lift = any(isinstance(c, QPoly) for rel in relations for _, c in rel.terms())
+
+    def coeff(c):
+        return QPoly.const(c) if lift and not isinstance(c, QPoly) else c
+
+    return [
+        LinComb({
+            DecoratedSurjection(Surjection._of(values, max(values)), decorations): c
+            for (values, decorations), c in terms
+        })
+        for terms in _slot_vectors(relations, M, n, coeff)
+    ]
+
+
+def _unit_monomial(c):
+    """(sign, e) when the coefficient c is +-q^e, else None."""
+    if isinstance(c, QPoly):
+        *below, top = c.coeffs
+        return None if any(below) or top not in (1, -1) else (int(top), len(below))
+    if isinstance(c, (int, Fraction)) and c in (1, -1):
+        return int(c), 0
+    return None
+
+
+def _edge(first, second=None):
+    (a, (sign_a, e_a)) = first
+    if second is None:
+        return a, None, 0, 0
+    b, (sign_b, e_b) = second
+    return a, b, -sign_a * sign_b, e_b - e_a
+
+
+def binomial_edges(relations, M: GeneratorSet, n: int):
+    """The generator-slot vectors of the arity-n ideal as edges, or None.
+
+    Nodes are free basis elements as (values, decorations) pairs.  A vector
+    c_a*a + c_b*b, each c a unit monomial +-q^e, says a = sign*q^exponent*b
+    and becomes the edge (a, b, sign, exponent); a one-term vector says
+    a = 0 and becomes (a, None, 0, 0).  None when some relation has more
+    than two terms or a coefficient that is not +-q^e (an int, Fraction or
+    :class:`QPoly`): its vectors are no such binomials.
+    """
+    units = [[_unit_monomial(c) for _, c in rel.terms()] for rel in relations]
+    if any(len(u) > 2 or None in u for u in units):
+        return None
+    return (_edge(*terms) for terms in _slot_vectors(relations, M, n, _unit_monomial))
+
+
+class BinomialQuotient:
+    """The span of binomial edges, read off a weighted union-find.
+
+    Every node an edge touches keeps its parent and its multiplier
+    sign*q^exponent relative to it.  Joining two roots composes the
+    multipliers.  An edge inside one component whose multipliers disagree
+    says x = lambda*x with lambda != 1, which over Q(q) forces x = 0: that
+    component is dead, as is the component of a one-term edge.  The rank of
+    the span is the number of nodes touched less the live components, so
+    the quotient keeps one dimension per live component and per node no
+    edge touches (Eisenbud and Sturmfels, "Binomial ideals", Duke Math. J.
+    84, 1996).
+
+    >>> q = BinomialQuotient([("a", "b", 1, 1), ("b", "c", -1, 0)])
+    >>> q.rank, q.find("a")
+    (2, ('c', -1, 1))
+    >>> BinomialQuotient([("a", "b", 1, 1), ("b", "a", 1, 0)]).rank  # a = q*a
+    2
+    """
+
+    def __init__(self, edges) -> None:
+        self._up: dict = {}  # non-root node -> (parent, sign, exponent)
+        self._dead: set = set()  # roots of the components forced to zero
+        up, dead = self._up, self._dead
+        for a, b, sign, exponent in edges:
+            root_a, sign_a, e_a = self.find(a)
+            if b is None:
+                dead.add(root_a)
+                continue
+            root_b, sign_b, e_b = self.find(b)
+            # root_a = sign * q^exponent * root_b
+            sign *= sign_a * sign_b
+            exponent += e_b - e_a
+            if root_a == root_b:
+                if sign != 1 or exponent != 0:
+                    dead.add(root_a)
+                continue
+            up[root_a] = (root_b, sign, exponent)
+            if root_a in dead:
+                dead.remove(root_a)
+                dead.add(root_b)
+
+    @property
+    def rank(self) -> int:
+        """Nodes touched less live components: one per join, one per death."""
+        return len(self._up) + len(self._dead)
+
+    def find(self, node) -> tuple:
+        """(root, sign, exponent) with node = sign*q^exponent*root; a node no
+        edge touched is its own root.  Compresses the path it walks."""
+        up = self._up
+        chain = []
+        while node in up:
+            chain.append(node)
+            node = up[node][0]
+        sign, exponent = 1, 0
+        for x in reversed(chain):
+            _, s, e = up[x]
+            sign *= s
+            exponent += e
+            up[x] = (node, sign, exponent)
+        return node, sign, exponent
 
 
 def quotient_dim(relations, M: GeneratorSet, n: int) -> int:
-    return len(free_basis(M, n)) - span_rank(ideal_vectors(relations, M, n))
+    """Dimension of the arity-n component of the quotient by the relations.
+
+    When every relation is a binomial with coefficients +-q^e, so is every
+    generator-slot vector, and :class:`BinomialQuotient` ranks them with no
+    elimination; any other relation sends the vectors to :func:`span_rank`.
+    """
+    edges = binomial_edges(relations, M, n)
+    if edges is None:
+        rank = span_rank(ideal_vectors(relations, M, n))
+    else:
+        rank = BinomialQuotient(edges).rank
+    return free_dimension(M, n) - rank
 
 
 def specialize(v: LinComb, value) -> LinComb:

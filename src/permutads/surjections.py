@@ -13,8 +13,8 @@ Validation happens once, at the boundary.  ``Surjection(values)`` and
 that comes from outside (CLI, JSON, user code) goes through one of them.
 The private ``Surjection._of(values, k)`` checks nothing; it is only for
 values derived from surjections that were already validated, as in
-:func:`substitute`, :func:`concat`, :func:`enumerate_surjections` and the
-unshuffle ``shuffles.sigma_of``.
+:func:`substitute`, :func:`enumerate_surjections` and the unshuffle
+``shuffles.sigma_of``.
 
 Vertices are the target values 1..k, drawn as the levels of a tree with the
 inputs of vertex j sitting at the positions of ``t.values`` equal to j.  The
@@ -185,18 +185,6 @@ def substitute(t: Surjection, parts: tuple[Surjection, ...]) -> Surjection:
         counters[v - 1] = b + 1
         out.append(offsets[v - 1] + parts[v - 1].values[b])
     return Surjection._of(tuple(out), offsets[-1])
-
-
-def concat(t: Surjection, w: Surjection) -> Surjection:
-    """Concatenation t x w: place w to the right of t, vertices shifted by t.k.
-
-    >>> concat(Surjection((2, 1)), Surjection((1, 1))).values
-    (2, 1, 3, 3)
-    >>> concat(UNIT, Surjection((1, 2))) == Surjection((1, 2))
-    True
-    """
-    shift = t.k
-    return Surjection._of(t.values + tuple(v + shift for v in w.values), shift + w.k)
 
 
 def enumerate_surjections(n: int, k: int | None = None) -> list[Surjection]:

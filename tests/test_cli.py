@@ -256,6 +256,24 @@ def test_bruhat_check_connected_searches_the_full_order(capsys, monkeypatch):
     assert out == '{"connected": false, "vertices": 6, "edges": 3}\n'
 
 
+@pytest.mark.parametrize("flags, kinds", [((), (1, 2)), (("--type1-only",), (1,))])
+def test_bruhat_check_connected_builds_one_cover_graph(capsys, monkeypatch, flags, kinds):
+    real = bruhat.cover_graph
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(bruhat, "cover_graph", counted)
+    for n in range(1, 6):
+        bruhat._adjacency.cache_clear()
+        calls.clear()
+        code, out, _ = run(capsys, "bruhat", "--n", str(n), *flags, "--check-connected")
+        assert code == 0 and len(calls) <= 1
+        assert json.loads(out)["edges"] == sum(1 for c in real(n) if c.kind in kinds)
+
+
 def test_bruhat_cover_stream(capsys):
     code, out, _ = run(capsys, "bruhat", "--n", "3")
     assert code == 0

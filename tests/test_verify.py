@@ -52,8 +52,29 @@ def test_boundary_squared_reaches_seven():
 def test_q_normal_form_reaches_seven():
     check = next(c for c in CHECKS if c.name == "q-normal-form")
     assert bound_for(check) == 7
-    assert bound_for(check, 99) == 7
+    assert bound_for(check, 99) == 8
     verify.check_q_normal_form(7)
+
+
+def test_q_normal_form_passes_at_its_cap_of_eight():
+    check = next(c for c in CHECKS if c.name == "q-normal-form")
+    assert run_check(check, 8) == 8
+
+
+def test_q_normal_form_fails_on_a_wrong_exponent_or_relation(monkeypatch):
+    real = verify.qpermas_normalize
+    monkeypatch.setattr(verify, "qpermas_normalize", lambda d: real(d) * 2)
+    with pytest.raises(CheckFailed) as failed:
+        verify.check_q_normal_form(4)
+    assert failed.value.witness["note"] == "not q^inversions times the identity"
+    monkeypatch.setattr(verify, "qpermas_normalize", real)
+    mu = verify.generator_element("mu", 2)
+    upper, lower = (verify.circ_i(mu, mu, i).map_coeffs(QPoly.const) for i in (2, 1))
+    wrong = upper - lower.scale(QPoly.q(2))
+    gens, _ = verify.PRESETS["qPermAs"]()
+    monkeypatch.setitem(verify.PRESETS, "qPermAs", lambda: (gens, [wrong]))
+    with pytest.raises(CheckFailed):
+        verify.check_q_normal_form(4)
 
 
 def test_run_check_reports_the_bound_used():
