@@ -141,11 +141,14 @@ _TO = {
 
 
 def cmd_convert(args) -> int:
-    if args.input == "-":
-        lines = sys.stdin.readlines()
-    else:
-        with open(args.input, encoding="utf-8") as handle:
-            lines = handle.readlines()
+    try:
+        if args.input == "-":
+            lines = sys.stdin.readlines()
+        else:
+            with open(args.input, encoding="utf-8") as handle:
+                lines = handle.readlines()
+    except OSError as exc:
+        raise DomainError(f"cannot read input {args.input}: {exc.strerror}", path=args.input)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

@@ -158,10 +158,9 @@ def circ_t(a, b, t: Surjection) -> LinComb:
 
 
 def circ_i(a, b, i: int) -> LinComb:
-    """Classic partial composition a at slot i of b ... of b at slot i of a.
+    """Partial composition a o_i b: b plugged into input slot i of a.
 
-    Builds the two-vertex surjection whose vertex 1 block is the i-th run of
-    inputs; compositions with the arity-1 identity short-circuit.
+    b's block, inputs i to i + arity(b) - 2, sits at vertex 1; the identity short-circuits.
 
     >>> mu = generator_element("mu", 2)
     >>> circ_i(mu, mu, 2).terms()[0][0].t.values
@@ -253,12 +252,19 @@ def _slot_vectors(relations, M: GeneratorSet, n: int, coeff):
     A relation r sits at one vertex of a surjection t and a generator at
     every other vertex; each vector is written straight from the terms of r
     substituted at its vertex.  Every coefficient of r is mapped once by
-    ``coeff``, so each caller picks the form it reads.
+    ``coeff``, so each caller picks the form it reads.  A relation of arity
+    below 2 or with a decoration off M at its vertex's arity raises ValueError.
     """
     corollas = [corolla(s) for s in range(n)]
     names = [M.names_of_arity(s + 1) for s in range(n)]
     for rel in relations:
         r_arity = arity_of(rel)
+        if r_arity < 2:
+            raise ValueError(f"relation arity must be >= 2, got {r_arity}")
+        for d, _ in rel.terms():
+            for size, name in zip(d.t.preimage_sizes(), d.decorations):
+                if name not in M.names_of_arity(size + 1):
+                    raise ValueError(f"{name!r} is not a generator of arity {size + 1}")
         terms = [(d, coeff(c)) for d, c in rel.terms()]
         for t in enumerate_surjections(n - 1):
             sizes = t.preimage_sizes()

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -174,6 +175,25 @@ def test_convert_rejects_empty_trees_and_combs(capsys, monkeypatch, kind, line):
     assert code == 1 and out == ""
     assert err.count("\n") == 1
     assert "input line 1" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "name, reason",
+    [pytest.param("missing.jsonl", errno.ENOENT, id="missing"),
+     pytest.param("", errno.EISDIR, id="directory")],
+)
+def test_convert_reports_an_unreadable_input(capsys, tmp_path, name, reason):
+    path = str(tmp_path / name) if name else str(tmp_path)
+    code, out, err = run(
+        capsys, "convert", "--from", "surjection", "--to", "tree", "--input", path
+    )
+    assert code == 1 and out == ""
+    rows = err.splitlines()
+    assert len(rows) == 1
+    assert json.loads(rows[0]) == {
+        "error": f"cannot read input {path}: {os.strerror(reason)}",
+        "path": path,
+    }
 
 
 def test_boundary_csv_golden(capsys):

@@ -223,6 +223,31 @@ def test_other_relations_fall_back_to_the_span_rank(coeffs):
         assert quotient_dim(relations, M, n) == _span_dim(relations, M, n)
 
 
+def _mu_relations():
+    return [qpermas_relation(), circ_i(MU, MU, 2) - circ_i(MU, MU, 1)]
+
+
+@pytest.mark.parametrize("relations, M, n", [
+    # Unchecked, the mu-decorated ideal over the generator a gave 0, -6, -12.
+    pytest.param(_mu_relations(), GeneratorSet({2: ("a",)}), 3, id="foreign-3"),
+    pytest.param(_mu_relations(), GeneratorSet({2: ("a",)}), 4, id="foreign-4"),
+    pytest.param([qpermas_relation()], GeneratorSet({2: ("a",)}), 5, id="foreign-5"),
+    pytest.param([qpermas_relation()], GeneratorSet({2: ("a",), 3: ("mu",)}), 4,
+                 id="wrong-arity"),
+    # Unchecked, the identity was never placed and the free dimension came back.
+    pytest.param([LinComb.single(IDENTITY)], GeneratorSet({2: ("mu",)}), 3,
+                 id="arity-one"),
+])
+def test_relations_outside_the_generators_are_refused(relations, M, n):
+    refused = "is not a generator of arity|relation arity must be"
+    with pytest.raises(ValueError, match=refused):
+        quotient_dim(relations, M, n)
+    with pytest.raises(ValueError, match=refused):
+        ideal_vectors(relations, M, n)
+    with pytest.raises(ValueError, match=refused):
+        list(binomial_edges(relations, M, n))
+
+
 @pytest.mark.parametrize("M", [
     *(PRESETS[preset]()[0] for preset in sorted(PRESETS)),
     GeneratorSet({2: ("m",), 3: ("c",)}),
