@@ -213,8 +213,8 @@ def admissible_path(
     return path[::-1]
 
 
-def bruhat_dot(n: int, type1_only: bool = False) -> str:
-    """Cover graph in DOT form; kind-1 edges solid, kind-2 dotted."""
+def bruhat_dot(n: int, kinds) -> str:
+    """Covers of the given kinds in DOT form; kind-1 edges solid, kind-2 dotted."""
 
     def node_id(word: tuple[int, ...]) -> str:
         return "p" + "_".join(str(x) for x in word)
@@ -224,7 +224,7 @@ def bruhat_dot(n: int, type1_only: bool = False) -> str:
         label = " ".join(str(x) for x in word)
         lines.append(f'  {node_id(word)} [label="{label}"];')
     for c in cover_graph(n):
-        if type1_only and c.kind != 1:
+        if c.kind not in kinds:
             continue
         style = "solid" if c.kind == 1 else "dotted"
         lines.append(

@@ -273,10 +273,7 @@ def skeleton_edges(n: int) -> list[tuple[Surjection, Surjection]]:
     """Oriented vertex pairs (u, v) with d(edge) = v - u, sorted."""
     out = []
     for e in cells_of_dim(n, 1):
-        terms = boundary_of_cell(e).terms()
-        assert len(terms) == 2
-        (v0, c0), (v1, c1) = terms
-        assert {c0, c1} == {1, -1}
+        (v0, c0), (v1, c1) = boundary_of_cell(e).terms()
         out.append((v0, v1) if c0 == -1 else (v1, v0))
     return sorted(out)
 

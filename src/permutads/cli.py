@@ -116,6 +116,8 @@ def cmd_enum(args) -> int:
     _require_size(args.n, "enumeration")
     ts = enumerate_surjections(args.n, args.k)
     if args.kind == "cells":
+        if args.n < 1:  # the permutohedron on no letters has no cells
+            raise DomainError(f"need at least one letter, got n={args.n}")
         ts.sort(key=lambda t: (t.dim, t.values))
         render = _cell_json
     else:  # the plural of a convert kind
@@ -211,7 +213,10 @@ def cmd_homology(args) -> int:
 
 
 def cmd_bruhat(args) -> int:
+    kinds = (1,) if args.type1_only else (1, 2)
     if args.path is not None:
+        if args.type1_only:
+            args.parser.error("--type1-only does not apply to --path")
         word = _ints(args.path[0], "--path")
         try:
             i = int(args.path[1])
@@ -226,7 +231,6 @@ def cmd_bruhat(args) -> int:
     if args.n is None:
         args.parser.error("--n is required unless --path is given")
     _require_size(args.n, "weak order")
-    kinds = (1,) if args.type1_only else (1, 2)
     if args.check_connected:
         connected, _ = bruhat.cover_connected(args.n, kinds)
         edges = bruhat.cover_count(args.n, kinds)
@@ -234,7 +238,7 @@ def cmd_bruhat(args) -> int:
         _emit({"connected": connected, "vertices": vertices, "edges": edges})
         return 0
     if args.dot:
-        sys.stdout.write(bruhat.bruhat_dot(args.n, type1_only=args.type1_only))
+        sys.stdout.write(bruhat.bruhat_dot(args.n, kinds))
         return 0
     for c in bruhat.cover_graph(args.n):
         if c.kind in kinds:
@@ -347,12 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bruhat_p = sub.add_parser("bruhat", help="weak order covers and paths")
     bruhat_p.add_argument("--n", type=int, default=None)
-    bruhat_p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     bruhat_p.add_argument("--type1-only", dest="type1_only", action="store_true")
-    bruhat_p.add_argument(
+    mode = bruhat_p.add_mutually_exclusive_group()
+    mode.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
+    mode.add_argument(
         "--check-connected", dest="check_connected", action="store_true"
     )
-    bruhat_p.add_argument(
+    mode.add_argument(
         "--path",
         nargs=2,
         metavar=("WORD", "LEVEL"),

@@ -229,8 +229,6 @@ def free_basis(M: GeneratorSet, n: int) -> list[DecoratedSurjection]:
     """
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
-    if n == 1:
-        return [IDENTITY]
     out = []
     for t in enumerate_surjections(n - 1):
         choices = [M.names_of_arity(size + 1) for size in t.preimage_sizes()]

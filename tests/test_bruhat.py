@@ -166,11 +166,11 @@ def test_path_requires_an_ascent():
 
 
 def test_dot_styles():
-    dot = bruhat_dot(3)
+    dot = bruhat_dot(3, (1, 2))
     assert dot.startswith("digraph bruhat3 {")
     assert dot.count("style=solid") == 5
     assert dot.count("style=dotted") == 1
-    only = bruhat_dot(3, type1_only=True)
+    only = bruhat_dot(3, (1,))
     assert only.count("style=dotted") == 0
     assert only.count("style=solid") == 5
 

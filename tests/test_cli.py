@@ -249,6 +249,12 @@ def test_homology_needs_a_letter(capsys, n):
     assert "need at least one letter" in json.loads(err)["error"]
 
 
+def test_enum_cells_needs_a_letter(capsys):
+    code, out, err = run(capsys, "enum", "cells", "--n", "0")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "need at least one letter, got n=0"}
+
+
 def test_bruhat_check_connected_pin(capsys):
     code, out, _ = run(
         capsys, "bruhat", "--n", "3", "--type1-only", "--check-connected"
@@ -322,6 +328,23 @@ def test_bruhat_path_pin(capsys):
     assert json.loads(out) == {
         "path": [[1, 3, 2], [1, 2, 3], [2, 1, 3], [3, 1, 2], [3, 2, 1], [2, 3, 1]]
     }
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "3", "--dot", "--check-connected"],
+        ["--path", "1,3,2", "1", "--dot"],
+        ["--path", "1,3,2", "1", "--check-connected"],
+        ["--path", "1,3,2", "1", "--type1-only"],
+        ["--path", "1,3,2", "1", "--dot", "--type1-only"],
+    ],
+)
+def test_bruhat_runs_one_mode_per_call(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["bruhat", *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_bruhat_path_checks_matching_n(capsys):

@@ -3,9 +3,11 @@
 Each entry pins the sha256 digest of the stdout of one ``permutads``
 command: every enumeration kind for n = 1..5, the leveled trees for n = 6,
 every conversion between the four encodings of the n = 5 streams, the
-n = 5 boundaries in JSON and CSV, and ``verify all --max-n 4``.  A
-conversion reads the n = 5 enumeration of its source encoding.  A refactor
-that keeps these digests keeps the byte streams.
+n = 5 boundaries in JSON and CSV, ``verify all --max-n 4``, and the n = 4
+weak order in each ``bruhat`` mode: the cover stream and the DOT graph,
+each with and without ``--type1-only``, the connectivity line, and one
+admissible path.  A conversion reads the n = 5 enumeration of its source
+encoding.  A refactor that keeps these digests keeps the byte streams.
 """
 
 import contextlib
@@ -69,6 +71,12 @@ GOLDEN = {
     "boundary --n 5 --format json": "52ece29f5d2ad009e31ae87dd7184428616065e518cc45cc6a79026444fbea61",
     "boundary --n 5 --format csv": "f18bb19dad699d956cbf8cf1d286ca131fca585344509a9e3e5d9d27234dae0f",
     "verify all --max-n 4": "b0c7c14d8030be613293d04fb59a7997d07596a9cec530a526c33796bc7d9bf6",
+    "bruhat --n 4": "2d20b4a087f281e0b0cc4d0c89b3ddf426d84ee707b747580562aa84d021816c",
+    "bruhat --n 4 --type1-only": "d079e8fd5379df536d7f5170c4fe674adf129c444abbddb7422b878bbedf6ccd",
+    "bruhat --n 4 --dot": "a66c33244415dad6641c4e25caa410f3180b3934ebb2d7c803f94c085b33774b",
+    "bruhat --n 4 --dot --type1-only": "6167a2d4fc7a7d8f9d223543442bd3c69807d69999bd58237fd9ceb2ccb4bd8c",
+    "bruhat --n 4 --check-connected": "2594a125998e150000a10fcd99e27571ec026e7ddfbb719262dbffff9598db4e",
+    "bruhat --path 1,3,2,4 1": "48d685126584082b82194b6e6a323ce9fddcf0064913043b82b23c0ab1bba407",
 }
 
 

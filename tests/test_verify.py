@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from permutads import verify
+from permutads import chains, derivations, verify
 from permutads.bruhat import Cover
 from permutads.linalg import LinComb, QPoly
+from permutads.shuffles import Shuffle
 from permutads.surjections import Surjection
 from permutads.verify import (
     CHECKS,
@@ -99,6 +100,65 @@ def test_iter_checks_stops_at_the_first_failure(monkeypatch):
     rows = list(verify.iter_checks())
     assert rows == [("boom", 3, {"check": "boom", "n": 3})]
     assert ran == []
+
+
+def _check(name):
+    return next(c for c in CHECKS if c.name == name)
+
+
+def test_encoding_roundtrips_parse_the_shuffle_render(monkeypatch):
+    # A parser that reads every render as the one-letter shuffle is wrong
+    # from n = 2 on; the check must parse the render to see it.
+    wrong = staticmethod(lambda obj: Shuffle(Surjection((1,))))
+    monkeypatch.setattr(Shuffle, "from_json", wrong)
+    with pytest.raises(CheckFailed) as failed:
+        run_check(_check("encoding-roundtrips"), 3)
+    witness = failed.value.witness
+    assert witness["check"] == "encoding-roundtrips"
+    assert witness["via"] == "shuffle-json"
+    assert witness["t"] == [1, 1]
+
+
+def test_derivation_monomials_report_a_wrong_graft(monkeypatch):
+    # Grafting every derivation at the last variable spells the wrong word.
+    real = derivations.asder_circ
+    monkeypatch.setattr(
+        derivations, "asder_circ", lambda P, Q, i: real(P, Q, P.nvars)
+    )
+    with pytest.raises(CheckFailed) as failed:
+        run_check(_check("derivation-monomials"), 2)
+    witness = failed.value.witness
+    assert witness["check"] == "derivation-monomials"
+    assert (witness["js"], witness["n"]) == ([1], 2)
+
+
+@pytest.mark.parametrize(
+    "wrong, field",
+    [
+        (lambda d, t: d.scale(2), "missing"),  # signs +-2: edges turn round
+        (lambda d, t: d + LinComb.single(t), "error"),  # a third term
+    ],
+    ids=["doubled-signs", "three-terms"],
+)
+def test_skeleton_covers_report_a_wrong_edge_boundary(monkeypatch, wrong, field):
+    real = chains.boundary_of_cell
+    monkeypatch.setattr(chains, "boundary_of_cell", lambda t: wrong(real(t), t))
+    with pytest.raises(CheckFailed) as failed:
+        run_check(_check("skeleton-covers"), 2)
+    assert failed.value.witness["check"] == "skeleton-covers"
+    assert failed.value.witness[field]
+
+
+def test_a_value_error_in_a_check_is_its_witness(monkeypatch):
+    def rejects(n):
+        raise ValueError(f"cannot parse at {n}")
+
+    check = Check("rejects", rejects, 3)
+    with pytest.raises(CheckFailed) as failed:
+        run_check(check)
+    assert failed.value.witness == {"check": "rejects", "error": "cannot parse at 3"}
+    monkeypatch.setattr(verify, "CHECKS", (check,))
+    assert list(iter_checks()) == [("rejects", 3, failed.value.witness)]
 
 
 def test_witnesses_are_json_serializable():
