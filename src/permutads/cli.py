@@ -28,17 +28,10 @@ from .permutad import (
     qpermas_normalize,
     quotient_dim,
 )
-from .shuffles import Shuffle, shuffle_of, surjection_of_shuffle
+from .shuffles import Shuffle
 from .surjections import Surjection, enumerate_surjections
-from .trees import (
-    LeveledTree,
-    ShuffleLeftComb,
-    comb_from_surjection,
-    comb_to_surjection,
-    tree_from_surjection,
-    tree_to_surjection,
-)
-from .verify import CHECKS, bound_for, iter_checks
+from .trees import LeveledTree, ShuffleLeftComb
+from .verify import CHECKS, CheckFailed, bound_for, run_check
 
 DEFAULT_BOUND = 7
 
@@ -115,6 +108,8 @@ def _cell_json(t: Surjection) -> dict:
 def cmd_enum(args) -> int:
     _require_size(args.n, "enumeration")
     ts = enumerate_surjections(args.n, args.k)
+    if not ts:
+        raise DomainError(f"no surjection of {args.n} inputs onto {args.k} levels", k=args.k)
     if args.kind == "cells":
         if args.n < 1:  # the permutohedron on no letters has no cells
             raise DomainError(f"need at least one letter, got n={args.n}")
@@ -129,16 +124,16 @@ def cmd_enum(args) -> int:
 
 _FROM = {
     "surjection": Surjection.from_json,
-    "shuffle": lambda obj: surjection_of_shuffle(Shuffle.from_json(obj)),
-    "tree": lambda obj: tree_to_surjection(LeveledTree.from_json(obj)),
-    "comb": lambda obj: comb_to_surjection(ShuffleLeftComb.from_json(obj)),
+    "shuffle": lambda obj: Shuffle.from_json(obj).t,
+    "tree": lambda obj: LeveledTree.from_json(obj).t,
+    "comb": lambda obj: ShuffleLeftComb.from_json(obj).t,
 }
 
 _TO = {
     "surjection": Surjection.to_json,
-    "shuffle": lambda t: shuffle_of(t).to_json(),
-    "tree": lambda t: tree_from_surjection(t).to_json(),
-    "comb": lambda t: comb_from_surjection(t).to_json(),
+    "shuffle": lambda t: Shuffle(t).to_json(),
+    "tree": lambda t: LeveledTree(t).to_json(),
+    "comb": lambda t: ShuffleLeftComb(t).to_json(),
 }
 
 
@@ -295,17 +290,21 @@ def cmd_permutad_dim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ceiling = _env_cap()
-    low = min({bound_for(check, args.max_n, ceiling) for check in CHECKS} - {None})
+    """Run each check at its bound lowered to PERMUTAD_MAX_N; stop at a witness."""
+    cap = _env_cap()
+    bounds = [bound_for(check, args.max_n) for check in CHECKS]
+    bounds = [b if b is None or cap is None else min(b, cap) for b in bounds]
+    low = min(set(bounds) - {None})
     if low < 1:
         raise DomainError(f"bound {low} leaves the checks no case to examine", bound=low)
-    for name, bound, witness in iter_checks(args.max_n, ceiling):
-        row = {"check": name, "max_n": bound, "ok": witness is None}
-        if witness is not None:
-            row["witness"] = witness
-        _emit(row)
-        if witness is not None:
+    for check, bound in zip(CHECKS, bounds):
+        row = {"check": check.name, "max_n": bound}
+        try:
+            run_check(check, bound)
+        except CheckFailed as exc:
+            _emit({**row, "ok": False, "witness": exc.witness})
             return 1
+        _emit({**row, "ok": True})
     return 0
 
 

@@ -462,11 +462,13 @@ def csv_triples(vectors: Iterable[LinComb], key_str: Callable = str) -> list[str
 
     The row index is the position of the vector in the input; entries are
     emitted in basis-key order, so the output is reproducible byte for byte.
+    A key or coefficient whose text holds a comma raises ValueError.
     """
     lines = ["row,key,coeff"]
     for i, v in enumerate(vectors):
         for k, c in v.terms():
             key = key_str(k)
-            assert "," not in key and "," not in str(c)
+            if "," in key or "," in str(c):
+                raise ValueError(f"a comma in key {key!r} or coefficient {c} splits the row")
             lines.append(f"{i},{key},{c}")
     return lines

@@ -243,15 +243,15 @@ def free_basis(M: GeneratorSet, n: int) -> list[DecoratedSurjection]:
 # ---------------------------------------------------------------------------
 # Relations, ideals, quotients.
 
-def _slot_vectors(relations, M: GeneratorSet, n: int, coeff):
+def _slot_vectors(relations, M: GeneratorSet, n: int):
     """Each generator-slot vector of the arity-n ideal, as its list of terms
     ((values, decorations), c), one term per term of its relation.
 
     A relation r sits at one vertex of a surjection t and a generator at
     every other vertex; each vector is written straight from the terms of r
-    substituted at its vertex.  Every coefficient of r is mapped once by
-    ``coeff``, so each caller picks the form it reads.  A relation of arity
-    below 2 or with a decoration off M at its vertex's arity raises ValueError.
+    substituted at its vertex, with its coefficient c in r as it stands.  A
+    relation of arity below 2 or with a decoration off M at its vertex's
+    arity raises ValueError.
     """
     corollas = [corolla(s) for s in range(n)]
     names = [M.names_of_arity(s + 1) for s in range(n)]
@@ -263,7 +263,7 @@ def _slot_vectors(relations, M: GeneratorSet, n: int, coeff):
             for size, name in zip(d.t.preimage_sizes(), d.decorations):
                 if name not in M.names_of_arity(size + 1):
                     raise ValueError(f"{name!r} is not a generator of arity {size + 1}")
-        terms = [(d, coeff(c)) for d, c in rel.terms()]
+        terms = rel.terms()
         for t in enumerate_surjections(n - 1):
             sizes = t.preimage_sizes()
             pools = [names[s] for s in sizes]
@@ -293,17 +293,17 @@ def ideal_vectors(relations, M: GeneratorSet, n: int) -> list[LinComb]:
     the other vertices would add nothing, since by associativity of gamma
     such a composite is again one of these.
     """
-    lift = any(isinstance(c, QPoly) for rel in relations for _, c in rel.terms())
-
-    def coeff(c):
-        return QPoly.const(c) if lift and not isinstance(c, QPoly) else c
-
+    if any(isinstance(c, QPoly) for rel in relations for _, c in rel.terms()):
+        relations = [
+            rel.map_coeffs(lambda c: c if isinstance(c, QPoly) else QPoly.const(c))
+            for rel in relations
+        ]
     return [
         LinComb({
             DecoratedSurjection(Surjection._of(values, max(values)), decorations): c
             for (values, decorations), c in terms
         })
-        for terms in _slot_vectors(relations, M, n, coeff)
+        for terms in _slot_vectors(relations, M, n)
     ]
 
 
@@ -335,10 +335,10 @@ def binomial_edges(relations, M: GeneratorSet, n: int):
     than two terms or a coefficient that is not +-q^e (an int, Fraction or
     :class:`QPoly`): its vectors are no such binomials.
     """
-    units = [[_unit_monomial(c) for _, c in rel.terms()] for rel in relations]
-    if any(len(u) > 2 or None in u for u in units):
+    units = [{d: _unit_monomial(c) for d, c in rel.terms()} for rel in relations]
+    if any(len(u) > 2 or None in u.values() for u in units):
         return None
-    return (_edge(*terms) for terms in _slot_vectors(relations, M, n, _unit_monomial))
+    return (_edge(*terms) for terms in _slot_vectors(map(LinComb, units), M, n))
 
 
 class BinomialQuotient:
@@ -457,8 +457,8 @@ def binary_normal_form(expr) -> DecoratedSurjection:
     """Evaluate a nested partial-composition expression of the generator mu.
 
     Expressions are the name ``"mu"`` itself or triples (left, slot, right)
-    meaning ``left composed with right at slot``.  The value is always a
-    single decorated permutation, the leveled-binary-tree basis element.
+    meaning ``left composed with right at slot``.  The value is one decorated
+    permutation, the leveled-binary-tree basis element, else ValueError.
 
     >>> binary_normal_form((("mu", 2, "mu"), 1, "mu")).t.values
     (1, 3, 2)
@@ -473,9 +473,9 @@ def binary_normal_form(expr) -> DecoratedSurjection:
         left, slot, right = e
         return circ_i(evaluate(left), evaluate(right), slot)
 
-    value = evaluate(expr)
-    terms = value.terms()
-    assert len(terms) == 1 and terms[0][1] == 1
+    terms = evaluate(expr).terms()
+    if len(terms) != 1 or terms[0][1] != 1:
+        raise ValueError(f"{expr!r} does not evaluate to one basis element")
     return terms[0][0]
 
 

@@ -32,7 +32,7 @@ from .permutad import (
     quotient_dim,
     specialize,
 )
-from .shuffles import Shuffle, shuffle_factorize, shuffle_of, sigma_of, staged_product
+from .shuffles import Shuffle, shuffle_factorize, sigma_of, staged_product
 from .surjections import (
     Surjection,
     compose,
@@ -45,10 +45,8 @@ from .surjections import (
 from .trees import (
     LeveledTree,
     ShuffleLeftComb,
-    comb_from_surjection,
     comb_to_nested,
     strip_levels,
-    tree_from_surjection,
     tree_to_nested,
     validate_shuffle_tree,
 )
@@ -237,7 +235,7 @@ def check_shuffle_factorization(max_n: int) -> None:
     """Binary factors recombine to the shuffle they were peeled from."""
     for n in range(1, max_n + 1):
         for t in enumerate_surjections(n):
-            s = shuffle_of(t)
+            s = Shuffle(t)
             factors = shuffle_factorize(s)
             if len(factors) != max(t.k - 1, 0):
                 _fail(t=t, factors=factors)
@@ -259,19 +257,19 @@ def check_encoding_roundtrips(max_n: int) -> None:
     """
     for n in range(1, max_n + 1):
         for t in enumerate_surjections(n):
-            s = shuffle_of(t)
+            s = Shuffle(t)
             if sigma_of(t).values != inverse(s.perm):
                 _fail(via="sigma", t=t)
             if Shuffle.from_json(s.to_json()) != s:
                 _fail(via="shuffle-json", t=t)
-            tr = tree_from_surjection(t)
+            tr = LeveledTree(t)
             rendered = tr.to_json()
             if LeveledTree.from_json(rendered) != tr:
                 _fail(via="tree-json", t=t)
             ok, _ = validate_shuffle_tree(strip_levels(rendered["nested"]))
             if not ok:
                 _fail(via="shuffle-condition", t=t)
-            c = comb_from_surjection(t)
+            c = ShuffleLeftComb(t)
             if ShuffleLeftComb.from_json(c.to_json()) != c:
                 _fail(via="comb-json", t=t)
 
@@ -320,13 +318,13 @@ def check_golden_table() -> None:
     """Seven pinned rows tying all four encodings of one surjection together."""
     for values, blocks, perm, comb_nested, leveled, sigma in GOLDEN_TABLE:
         t = Surjection(values)
-        s = shuffle_of(t)
+        s = Shuffle(t)
         if (s.blocks, s.perm) != (blocks, perm):
             _fail(t=t, got=s, want_blocks=blocks, want_perm=perm)
-        if comb_to_nested(comb_from_surjection(t)) != comb_nested:
-            _fail(t=t, got=comb_to_nested(comb_from_surjection(t)))
-        if tree_to_nested(tree_from_surjection(t)) != leveled:
-            _fail(t=t, got=tree_to_nested(tree_from_surjection(t)))
+        if comb_to_nested(ShuffleLeftComb(t)) != comb_nested:
+            _fail(t=t, got=comb_to_nested(ShuffleLeftComb(t)))
+        if tree_to_nested(LeveledTree(t)) != leveled:
+            _fail(t=t, got=tree_to_nested(LeveledTree(t)))
         if sigma_of(t).values != sigma:
             _fail(t=t, got=list(sigma_of(t).values))
 
@@ -697,25 +695,20 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def bound_for(
-    check: Check, max_n: int | None = None, ceiling: int | None = None
-) -> int | None:
-    """Requested or default bound, clamped by the check cap and a ceiling."""
+def bound_for(check: Check, max_n: int | None = None) -> int | None:
+    """max_n or the default, lowered to the cap; None if the check takes none."""
     if check.default_n is None:
         return None
     bound = check.default_n if max_n is None else max_n
     if check.cap is not None:
         bound = min(bound, check.cap)
-    if ceiling is not None:
-        bound = min(bound, ceiling)
     return bound
 
 
-def run_check(
-    check: Check, max_n: int | None = None, ceiling: int | None = None
-) -> int | None:
-    """Run one check at the requested or default bound; return the bound."""
-    bound = bound_for(check, max_n, ceiling)
+def run_check(check: Check, max_n: int | None = None) -> int | None:
+    """Run one check at ``bound_for(check, max_n)`` and return that bound; a
+    witness or a ValueError comes out as CheckFailed naming the check."""
+    bound = bound_for(check, max_n)
     try:
         if bound is None:
             check.run()
@@ -726,15 +719,3 @@ def run_check(
     except ValueError as exc:
         raise CheckFailed({"check": check.name, "error": str(exc)}) from exc
     return bound
-
-
-def iter_checks(max_n: int | None = None, ceiling: int | None = None):
-    """Yield (name, bound, witness-or-None) per check; stop at a failure."""
-    for check in CHECKS:
-        bound = bound_for(check, max_n, ceiling)
-        try:
-            run_check(check, max_n, ceiling)
-        except CheckFailed as exc:
-            yield check.name, bound, exc.witness
-            return
-        yield check.name, bound, None

@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import functools
+import hashlib
 import io
 import json
 import os
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import permutads
-from permutads import bruhat
+from permutads import bruhat, cli, verify
 from permutads.cli import build_parser, main
-from permutads.verify import CHECKS
+from permutads.verify import CHECKS, Check
 
 
 def run(capsys, *argv):
@@ -40,6 +41,18 @@ def test_enum_restricts_target_size(capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert len(rows) == 6
     assert all(row["k"] == 2 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "kind, n, k",
+    [("surjections", 3, -1), ("cells", 3, 9), ("shuffles", 3, 0), ("trees", 0, 1)],
+)
+def test_enum_refuses_a_level_count_no_surjection_reaches(capsys, kind, n, k):
+    code, out, err = run(capsys, "enum", kind, "--n", str(n), "--k", str(k))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": f"no surjection of {n} inputs onto {k} levels", "k": k,
+    }
 
 
 def test_enum_cells_sorted_by_dimension(capsys):
@@ -493,6 +506,46 @@ def test_verify_refuses_an_env_ceiling_below_one(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["bound"] == 0
+
+
+# stdout of ``verify all`` with PERMUTAD_MAX_N=3: every sized check at 3.
+ENV_THREE_DIGEST = "23087970e6ce7db8815abb4315d44c9c9600a311bd2a5b1d373d8762067b104c"
+
+
+@pytest.mark.parametrize("flags", [[], ["--max-n", "99"]], ids=["default", "max-n-99"])
+def test_verify_all_lowers_every_bound_to_the_env_bound(capsys, monkeypatch, flags):
+    monkeypatch.setenv("PERMUTAD_MAX_N", "3")
+    code, out, err = run(capsys, "verify", "all", *flags)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ENV_THREE_DIGEST
+    bounds = {json.loads(line)["max_n"] for line in out.splitlines()}
+    assert bounds == {None, 3}
+
+
+def test_verify_all_keeps_a_request_below_the_env_bound(capsys, monkeypatch):
+    monkeypatch.setenv("PERMUTAD_MAX_N", "3")
+    code, out, _ = run(capsys, "verify", "all", "--max-n", "2")
+    assert code == 0
+    assert {json.loads(line)["max_n"] for line in out.splitlines()} == {None, 2}
+
+
+def test_verify_all_stops_at_the_first_failure(capsys, monkeypatch):
+    monkeypatch.delenv("PERMUTAD_MAX_N", raising=False)
+    ran = []
+
+    def boom(n):
+        verify._fail(n=n)
+
+    def later(n):
+        ran.append(n)
+
+    monkeypatch.setattr(cli, "CHECKS", (Check("boom", boom, 3), Check("later", later, 3)))
+    code, out, err = run(capsys, "verify", "all")
+    assert code == 1 and err == ""
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"check": "boom", "max_n": 3, "ok": False, "witness": {"check": "boom", "n": 3}}
+    ]
+    assert ran == []
 
 
 def test_size_bound_error_payload(capsys, monkeypatch):

@@ -6,7 +6,8 @@ every conversion between the four encodings of the n = 5 streams, the
 n = 5 boundaries in JSON and CSV, ``verify all --max-n 4``, and the n = 4
 weak order in each ``bruhat`` mode: the cover stream and the DOT graph,
 each with and without ``--type1-only``, the connectivity line, and one
-admissible path.  A conversion reads the n = 5 enumeration of its source
+admissible path; and the ``permutad dim`` row of every preset at arities
+1..6.  A conversion reads the n = 5 enumeration of its source
 encoding.  A refactor that keeps these digests keeps the byte streams.
 """
 
@@ -77,6 +78,24 @@ GOLDEN = {
     "bruhat --n 4 --dot --type1-only": "6167a2d4fc7a7d8f9d223543442bd3c69807d69999bd58237fd9ceb2ccb4bd8c",
     "bruhat --n 4 --check-connected": "2594a125998e150000a10fcd99e27571ec026e7ddfbb719262dbffff9598db4e",
     "bruhat --path 1,3,2,4 1": "48d685126584082b82194b6e6a323ce9fddcf0064913043b82b23c0ab1bba407",
+    "permutad dim --preset permMag --n 1": "d29bf1cc4ab5c86971a235c3ff67903346a7329f40dc1b82c3adf86550f0f4be",
+    "permutad dim --preset permMag --n 2": "802bed7b288aee66f7abd46a606e0d2bebf3dc0611b2f63d12388a474e14e044",
+    "permutad dim --preset permMag --n 3": "fd34aeee5c44e5cbda3664c216a4bbb0ae3dadea09ec59346f4d89af720e4ec2",
+    "permutad dim --preset permMag --n 4": "0a2d4d8c3035140032d2b0c49756b9bd6995d3707583fb03c4f8ed9eabea6f21",
+    "permutad dim --preset permMag --n 5": "ced47e1513676389f3245ed90a8d133861d57c051eea745de36638c454fae1c4",
+    "permutad dim --preset permMag --n 6": "b392d80dee25f308abc12a5bd41a1b29fc93867f5d11fef81776e1ad6b4c3bc3",
+    "permutad dim --preset qPermAs --n 1": "3a10af085959d0485bc064c429bb708f4aa285b084212e52e734c047cf0469f4",
+    "permutad dim --preset qPermAs --n 2": "536c31c2db8ec5082982952a9bd40e906d9e67486716ed5c91f61dce16e607c3",
+    "permutad dim --preset qPermAs --n 3": "0f591f4495f4036e719e7a918d79e5a329eeff89d0c659feb29a98ef0718ab3e",
+    "permutad dim --preset qPermAs --n 4": "6850f7b07cdcabcce05cf876b61489ae4a864bab2ffb9e0790054af8c4a2216c",
+    "permutad dim --preset qPermAs --n 5": "6435cf2ae988435dc0eb414487028d3a12b85b9e7006d295ee70994b1bd4bed3",
+    "permutad dim --preset qPermAs --n 6": "0dccba3f14000082cf6c56b8381d30c347d49a00b7c39387b3771a9693d90806",
+    "permutad dim --preset permAsSh --n 1": "290f0ab685f9c3fc655d9cce734ee6821445dac25a07e8b14de285a1e75f09b3",
+    "permutad dim --preset permAsSh --n 2": "cd7d8b3d643198390bf921794940c4031a05d228da1ad7d38a1074d39285e249",
+    "permutad dim --preset permAsSh --n 3": "535a41cb4c01fc42c4b8b0c5a49aa436c32c4ce45e8f25899e4d1fc02fe8b76f",
+    "permutad dim --preset permAsSh --n 4": "d537d01f005475574a013bc19796ed31d7bb017abea5a2008654247d338b55f1",
+    "permutad dim --preset permAsSh --n 5": "a7e215b5ad98e8097f540879b3d9c7399d4fb1058c8e2fd8102ac9f6d86f8508",
+    "permutad dim --preset permAsSh --n 6": "6736906c7011bd04be484d207d0b9d0e7dd7f1392493afcca94a03f977c91318",
 }
 
 

@@ -273,3 +273,8 @@ def test_csv_triples_golden():
         "0,2-1,-1",
         "1,1-1,q - 1",
     ]
+
+
+def test_csv_triples_refuses_a_comma_in_a_field():
+    with pytest.raises(ValueError):
+        csv_triples([LinComb({"a,b": 1})])

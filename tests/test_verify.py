@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from permutads import chains, derivations, verify
+from permutads import chains, derivations, permutad, verify
 from permutads.bruhat import Cover
 from permutads.linalg import LinComb, QPoly
 from permutads.shuffles import Shuffle
@@ -12,15 +12,13 @@ from permutads.verify import (
     Check,
     CheckFailed,
     bound_for,
-    iter_checks,
     run_check,
 )
 
 
 def test_every_check_passes_at_a_small_bound():
-    rows = list(iter_checks(3))
-    assert [name for name, _, _ in rows] == [c.name for c in CHECKS]
-    assert all(witness is None for _, _, witness in rows)
+    for check in CHECKS:
+        run_check(check, 3)  # raises CheckFailed on a witness
 
 
 def test_bound_for_clamps():
@@ -28,8 +26,6 @@ def test_bound_for_clamps():
     assert bound_for(sized) == sized.default_n
     assert bound_for(sized, 99) == sized.cap
     assert bound_for(sized, 2) == 2
-    assert bound_for(sized, None, 2) == 2
-    assert bound_for(sized, 99, 1) == 1
     unsized = next(c for c in CHECKS if c.default_n is None)
     assert bound_for(unsized) is None
     assert bound_for(unsized, 99) is None
@@ -85,23 +81,6 @@ def test_run_check_reports_the_bound_used():
     assert run_check(sized, 2) == 2
 
 
-def test_iter_checks_stops_at_the_first_failure(monkeypatch):
-    ran = []
-
-    def boom(n):
-        verify._fail(n=n)
-
-    def later(n):
-        ran.append(n)
-
-    monkeypatch.setattr(
-        verify, "CHECKS", (Check("boom", boom, 3), Check("later", later, 3))
-    )
-    rows = list(verify.iter_checks())
-    assert rows == [("boom", 3, {"check": "boom", "n": 3})]
-    assert ran == []
-
-
 def _check(name):
     return next(c for c in CHECKS if c.name == name)
 
@@ -149,7 +128,7 @@ def test_skeleton_covers_report_a_wrong_edge_boundary(monkeypatch, wrong, field)
     assert failed.value.witness[field]
 
 
-def test_a_value_error_in_a_check_is_its_witness(monkeypatch):
+def test_a_value_error_in_a_check_is_its_witness():
     def rejects(n):
         raise ValueError(f"cannot parse at {n}")
 
@@ -157,8 +136,16 @@ def test_a_value_error_in_a_check_is_its_witness(monkeypatch):
     with pytest.raises(CheckFailed) as failed:
         run_check(check)
     assert failed.value.witness == {"check": "rejects", "error": "cannot parse at 3"}
-    monkeypatch.setattr(verify, "CHECKS", (check,))
-    assert list(iter_checks()) == [("rejects", 3, failed.value.witness)]
+
+
+def test_binary_arity_four_reports_a_wrong_composition(monkeypatch):
+    # Doubled composites are no longer single basis elements.
+    real = permutad.circ_i
+    monkeypatch.setattr(permutad, "circ_i", lambda a, b, i: real(a, b, i).scale(2))
+    with pytest.raises(CheckFailed) as failed:
+        run_check(_check("binary-arity-four"))
+    assert failed.value.witness["check"] == "binary-arity-four"
+    assert "one basis element" in failed.value.witness["error"]
 
 
 def test_witnesses_are_json_serializable():
