@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .surjections import Surjection, compose, concat_words, identity_word
+from .surjections import Surjection
 
 
 def _cut(perm: tuple[int, ...], sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -51,7 +51,8 @@ class Shuffle:
 
     @property
     def perm(self) -> tuple[int, ...]:
-        return sum(self.t.blocks(), ())
+        values = self.t.values  # positions by level, stably: the blocks in turn
+        return tuple(sorted(range(1, len(values) + 1), key=(0, *values).__getitem__))
 
     def to_json(self) -> dict:
         return {"blocks": list(self.blocks), "perm": list(self.perm)}
@@ -88,14 +89,14 @@ def sigma_of(t: Surjection) -> Surjection:
     >>> sigma_of(Surjection((1, 1, 1))).values
     (1, 2, 3)
     """
-    if t.n < 1:
+    values = t.values
+    n = len(values)
+    if n < 1:
         raise ValueError("sigma_of needs at least one input")
-    filled = list(itertools.accumulate(t.preimage_sizes(), initial=0))
-    out = []
-    for v in t.values:
-        filled[v - 1] += 1
-        out.append(filled[v - 1])
-    return Surjection._of(tuple(out), t.n)
+    out = [0] * n
+    for rank, a in enumerate(sorted(range(n), key=values.__getitem__), start=1):
+        out[a] = rank
+    return Surjection._of(tuple(out), n)
 
 
 def surjection_of_shuffle(s: Shuffle) -> Surjection:
@@ -115,10 +116,12 @@ def staged_product(factors: list[Shuffle], blocks: tuple[int, ...]) -> Shuffle:
     The word is built apart from ``blocks``, so cutting it there is checked.
     """
     n = sum(blocks)
-    word = identity_word(n)
+    word = range(1, n + 1)
     for factor in reversed(factors):
-        padded = concat_words(factor.perm, identity_word(n - factor.t.n))
-        word = compose(padded, word)
+        if factor.t.n > n:
+            raise ValueError(f"a factor on {factor.t.n} points does not fit in {n}")
+        padded = (0, *factor.perm, *range(factor.t.n + 1, n + 1))  # 1-based
+        word = tuple(map(padded.__getitem__, word))
     return Shuffle(Surjection.from_blocks(_cut(word, blocks)))
 
 

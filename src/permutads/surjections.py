@@ -12,9 +12,11 @@ Validation happens once, at the boundary.  ``Surjection(values)`` and
 :meth:`Surjection.from_blocks` check their input in full, and every value
 that comes from outside (CLI, JSON, user code) goes through one of them.
 The private ``Surjection._of(values, k)`` checks nothing; it is only for
-values derived from surjections that were already validated, as in
-:func:`substitute`, :func:`enumerate_surjections` and the unshuffle
-``shuffles.sigma_of``.
+values derived from validated surjections: :func:`substitute`,
+:func:`enumerate_surjections`, the tail of :meth:`Surjection.from_blocks`,
+the unshuffles and binary factors of ``shuffles``, the gap levels that
+``trees.tree_from_nested`` has checked, and the faces and composites of
+``chains`` and ``permutad``.
 
 Vertices are the target values 1..k, drawn as the levels of a tree with the
 inputs of vertex j sitting at the positions of ``t.values`` equal to j.  The
@@ -68,8 +70,8 @@ class Surjection:
         Nothing is checked; ``values`` must already be a tuple onto 1..k.
         """
         t = object.__new__(cls)
-        object.__setattr__(t, "values", values)
-        object.__setattr__(t, "k", k)
+        _set_values(t, values)
+        _set_k(t, k)
         return t
 
     @property
@@ -139,6 +141,10 @@ class Surjection:
         return t
 
 
+# ``_of`` sets a trusted value's fields by their slot descriptors.
+_set_values = Surjection.values.__set__
+_set_k = Surjection.k.__set__
+
 UNIT = Surjection(())
 
 
@@ -167,24 +173,20 @@ def substitute(t: Surjection, parts: tuple[Surjection, ...]) -> Surjection:
     >>> substitute(corolla(3), (Surjection((1, 2, 1)),))
     Surjection(values=(1, 2, 1))
     """
+    values = t.values
     if len(parts) != t.k:
         raise ValueError(f"expected {t.k} parts, got {len(parts)}")
-    sizes = t.preimage_sizes()
-    for j, part in enumerate(parts, start=1):
-        if part.n != sizes[j - 1]:
-            raise ValueError(
-                f"vertex {j}: part has {part.n} inputs, preimage size is {sizes[j - 1]}"
-            )
-    offsets = [0]
+    shifted = [None]  # shifted[j] yields part j's values past the earlier parts
+    offset = j = 0
     for part in parts:
-        offsets.append(offsets[-1] + part.k)
-    counters = [0] * t.k
-    out = []
-    for v in t.values:
-        b = counters[v - 1]
-        counters[v - 1] = b + 1
-        out.append(offsets[v - 1] + parts[v - 1].values[b])
-    return Surjection._of(tuple(out), offsets[-1])
+        j += 1
+        if len(part.values) != values.count(j):
+            raise ValueError(
+                f"vertex {j}: part has {part.n} inputs, preimage size is {values.count(j)}"
+            )
+        shifted.append(map(offset.__add__, part.values))
+        offset += part.k
+    return Surjection._of(tuple(map(next, map(shifted.__getitem__, values))), offset)
 
 
 def enumerate_surjections(n: int, k: int | None = None) -> list[Surjection]:

@@ -60,7 +60,7 @@ class LeveledTree:
     @staticmethod
     def from_json(obj: dict) -> "LeveledTree":
         if "levels" in obj:
-            levels = tuple(tuple(sorted(level)) for level in obj["levels"])
+            levels = tuple(map(tuple, map(sorted, obj["levels"])))
             tr = LeveledTree(Surjection.from_blocks(levels))
             if "nested" in obj and tree_from_nested(obj["nested"]) != tr:
                 raise ValueError("levels and nested render disagree")
@@ -89,21 +89,21 @@ def tree_to_nested(tr: LeveledTree) -> Nested:
     >>> tree_to_nested(tree_from_surjection(Surjection((1, 1, 2))))
     [2, [1, 0, 1, 2], 3]
     """
-    level = (0, *tr.t.values)  # gap i closes at level t(i)
-
-    def render(lo: int, hi: int) -> Nested:
-        if lo == hi:
-            return lo
-        top = max(level[lo + 1 : hi + 1])
-        children = []
-        for gap in range(lo + 1, hi + 1):
-            if level[gap] == top:
-                children.append(render(lo, gap - 1))
-                lo = gap
-        children.append(render(lo, hi))
-        return [top] + children  # sized exactly, unlike a list grown by append
-
-    return render(0, tr.t.n)
+    stack: list[list] = []  # open nodes, levels falling toward the top
+    last: Nested = 0  # the leaf or closed node right of the latest gap
+    for leaf, level in enumerate(tr.t.values, start=1):
+        while stack and stack[-1][0] < level:
+            stack[-1].append(last)
+            last = stack.pop()
+        if stack and stack[-1][0] == level:
+            stack[-1].append(last)
+        else:
+            stack.append([level, last])
+        last = leaf
+    while stack:
+        stack[-1].append(last)
+        last = stack.pop()
+    return last
 
 
 def tree_from_nested(nested: Nested) -> LeveledTree:
@@ -125,10 +125,11 @@ def tree_from_nested(nested: Nested) -> LeveledTree:
         level = node[0]
         if type(level) is not int or level < 1:
             raise ValueError(f"bad level marker in node: {node!r}")
-        walk(node[1])
-        for child in node[2:]:
-            gaps.append(level)
-            walk(child)
+        for i, child in enumerate(node[1:]):
+            if i:
+                gaps.append(level)
+            if type(child) is not int or child != len(gaps):
+                walk(child)  # a leaf out of order fails there
 
     walk(nested)
     k = max(gaps, default=0)
@@ -164,7 +165,7 @@ class ShuffleLeftComb:
     @staticmethod
     def from_json(obj: dict) -> "ShuffleLeftComb":
         if "labels" in obj:
-            labels = tuple(tuple(level) for level in obj["labels"])
+            labels = tuple(map(tuple, obj["labels"]))
             c = ShuffleLeftComb(Surjection.from_blocks(labels))
             if "nested" in obj and comb_from_nested(obj["nested"]) != c:
                 raise ValueError("labels and nested render disagree")
@@ -205,7 +206,7 @@ def comb_from_nested(nested: Nested) -> ShuffleLeftComb:
         if not isinstance(node, list) or len(node) < 2:
             raise ValueError(f"malformed comb node: {node!r}")
         head, *rest = node
-        if any(type(x) is not int for x in rest):
+        if set(map(type, rest)) != {int}:
             raise ValueError(f"comb labels must sit right of the spine: {node!r}")
         levels.append(tuple(rest))
         if type(head) is int:
@@ -217,11 +218,16 @@ def comb_from_nested(nested: Nested) -> ShuffleLeftComb:
 
 
 def leaves_of(nested: Nested) -> list[int]:
-    if isinstance(nested, int):
-        return [nested]
     out: list[int] = []
-    for child in nested:
-        out.extend(leaves_of(child))
+
+    def walk(node: Nested) -> None:
+        if isinstance(node, int):
+            out.append(node)
+        else:
+            for child in node:
+                walk(child)
+
+    walk(nested)
     return out
 
 
@@ -229,7 +235,7 @@ def validate_shuffle_tree(nested: Nested) -> tuple[bool, tuple[int, ...] | None]
     """Check the increasing-minima condition on a plain nested tree.
 
     Returns (True, None) or (False, path), the path giving child indices
-    from the root down to the first vertex, in preorder, whose input minima
+    from the root down to the first vertex, in postorder, whose input minima
     fail to increase left to right.
 
     >>> validate_shuffle_tree([[0, 1, 3, 4], 2, 5])
@@ -242,27 +248,29 @@ def validate_shuffle_tree(nested: Nested) -> tuple[bool, tuple[int, ...] | None]
         raise ValueError(f"duplicate leaf labels: {sorted(leaves)}")
     if sorted(leaves) != list(range(len(leaves))):
         raise ValueError(f"leaf labels must be 0..n, got {sorted(leaves)}")
+    path: list[int] = []  # child indices, filled bottom-up once a vertex fails
 
-    def walk(node: Nested, path: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
-        if isinstance(node, int):
-            return node, None
+    def walk(node) -> int | None:
+        """The least leaf under node; None past a failing vertex, -1 past a short one."""
         if len(node) < 2:
-            raise ValueError(f"vertex with fewer than two inputs at {path}")
+            return -1
         minima = []
         for idx, child in enumerate(node):
-            m, witness = walk(child, path + (idx,))
-            if witness is not None:
-                return m, witness
-            minima.append(m)
-        ok = all(minima[i] < minima[i + 1] for i in range(len(minima) - 1))
-        return min(minima), None if ok else path
+            least = child if isinstance(child, int) else walk(child)
+            if least is None or least < 0:
+                path.append(idx)
+                return least
+            minima.append(least)
+        return minima[0] if minima == sorted(minima) else None
 
-    _, witness = walk(nested, ())
-    return witness is None, witness
+    least = nested if isinstance(nested, int) else walk(nested)
+    if least == -1:
+        raise ValueError(f"vertex with fewer than two inputs at {tuple(reversed(path))}")
+    return (True, None) if least is not None else (False, tuple(reversed(path)))
 
 
 def strip_levels(nested: Nested) -> Nested:
     """Forget the level markers of a leveled render, keeping the planar tree."""
     if isinstance(nested, int):
         return nested
-    return [strip_levels(child) for child in nested[1:]]
+    return [child if isinstance(child, int) else strip_levels(child) for child in nested[1:]]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
+from operator import itemgetter
 from typing import Callable
 
 from . import bruhat, chains, derivations
@@ -35,8 +36,6 @@ from .permutad import (
 from .shuffles import Shuffle, shuffle_factorize, sigma_of, staged_product
 from .surjections import (
     Surjection,
-    compose,
-    concat_words,
     corolla,
     enumerate_surjections,
     inverse,
@@ -88,11 +87,11 @@ def _plain(x):
 
 def check_substitution_units(max_n: int) -> None:
     """Corollas act as identities on both sides of substitution."""
+    corollas = [corolla(size) for size in range(max_n + 1)]
     for n in range(1, max_n + 1):
         for t in enumerate_surjections(n):
-            into = substitute(corolla(n), (t,))
-            parts = tuple(corolla(size) for size in t.preimage_sizes())
-            under = substitute(t, parts)
+            into = substitute(corollas[n], (t,))
+            under = substitute(t, tuple(map(corollas.__getitem__, t.preimage_sizes())))
             if into != t or under != t:
                 _fail(t=t, into=into, under=under)
 
@@ -104,16 +103,13 @@ def check_substitution_associativity(max_n: int) -> None:
     parts and sub-parts; the flattened sub-part list regroups by the target
     offsets of the parts.
     """
+    of_size = [enumerate_surjections(size) for size in range(max_n + 1)]
     for n in range(1, max_n + 1):
-        for t in enumerate_surjections(n):
-            part_choices = [
-                enumerate_surjections(size) for size in t.preimage_sizes()
-            ]
+        for t in of_size[n]:
+            part_choices = [of_size[size] for size in t.preimage_sizes()]
             for parts in itertools.product(*part_choices):
                 mid = substitute(t, parts)
-                sub_choices = [
-                    enumerate_surjections(size) for size in mid.preimage_sizes()
-                ]
+                sub_choices = [of_size[size] for size in mid.preimage_sizes()]
                 for subs in itertools.product(*sub_choices):
                     left = substitute(mid, subs)
                     offset = 0
@@ -124,24 +120,19 @@ def check_substitution_associativity(max_n: int) -> None:
                         offset += part.k
                     right = substitute(t, tuple(composed))
                     if left != right:
-                        _fail(
-                            t=t,
-                            parts=parts,
-                            subs=subs,
-                            left=left,
-                            right=right,
-                        )
+                        _fail(t=t, parts=parts, subs=subs, left=left, right=right)
 
 
-def _arity_candidates(a: int) -> list:
-    """One corolla generator per arity, plus a ladder of binary ones."""
-    if a == 1:
-        return [IDENTITY]
-    out = [generator_element(f"g{a}", a)]
-    if a >= 3:
-        ladder = Surjection(tuple(range(1, a)))
-        out.append(DecoratedSurjection(ladder, ("g2",) * (a - 1)))
-    return out
+def _arity_candidates(max_a: int) -> list[list]:
+    """Indexed by arity a <= max_a: one corolla generator, plus a ladder of
+    binary ones from arity 3; the identity alone in arity 1."""
+    pools = [[], [IDENTITY]]
+    for a in range(2, max_a + 1):
+        pools.append([generator_element(f"g{a}", a)])
+        if a >= 3:
+            ladder = Surjection(tuple(range(1, a)))
+            pools[a].append(DecoratedSurjection(ladder, ("g2",) * (a - 1)))
+    return pools
 
 
 def check_diamond(max_n: int) -> None:
@@ -151,10 +142,10 @@ def check_diamond(max_n: int) -> None:
     generator and ladder elements at each vertex, plus one two-term
     combination to exercise multilinearity.
     """
+    candidates = _arity_candidates(max_n)
     for n in range(3, max_n):
         for r in enumerate_surjections(n, 3):
-            sizes = r.preimage_sizes()
-            pools = [_arity_candidates(size + 1) for size in sizes]
+            pools = [candidates[size + 1] for size in r.preimage_sizes()]
             for nu, mu, lam in itertools.product(*pools):
                 if not diamond_check(r, lam, mu, nu):
                     _fail(r=r, lam=lam, mu=mu, nu=nu)
@@ -175,26 +166,21 @@ def check_sequential(max_n: int) -> None:
     (lam o_i mu) o_{i-1+j} nu = lam o_i (mu o_j nu) for slots i of lam and
     j of mu, over one generator per arity including the arity-one identity.
     """
+    candidates = _arity_candidates(max_n)
     for l in range(1, max_n):
         for m in range(1, max_n):
             for p in range(1, max_n):
                 if l + m + p - 2 > max_n:
                     continue
                 for lam, mu, nu in itertools.product(
-                    _arity_candidates(l), _arity_candidates(m), _arity_candidates(p)
+                    candidates[l], candidates[m], candidates[p]
                 ):
                     for i in range(1, l + 1):
                         for j in range(1, m + 1):
                             lhs = circ_i(circ_i(lam, mu, i), nu, i - 1 + j)
                             rhs = circ_i(lam, circ_i(mu, nu, j), i)
                             if lhs != rhs:
-                                _fail(
-                                    arities=(l, m, p),
-                                    i=i,
-                                    j=j,
-                                    lhs=lhs,
-                                    rhs=rhs,
-                                )
+                                _fail(arities=(l, m, p), i=i, j=j, lhs=lhs, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -205,30 +191,30 @@ def check_unshuffle_substitution(max_n: int) -> None:
     """The unshuffle of a substitution is the blockwise product.
 
     sigma of substitute(t, parts) applies sigma_t first and then the
-    unshuffles of the parts side by side, one block per vertex.
+    unshuffles of the parts side by side, one block per vertex.  Only the
+    parts vary inside the loop over t, so the gather by sigma_t and each
+    vertex's part unshuffles, shifted to its block, are read once per t.
     """
-    parts_of_size = {
-        size: [(part, sigma_of(part).values) for part in enumerate_surjections(size)]
-        for size in range(1, max_n + 1)
-    }
+    of_size = [enumerate_surjections(size) for size in range(1, max_n + 1)]
+    unshuffles = [[sigma_of(part).values for part in parts] for parts in of_size]
     for n in range(1, max_n + 1):
-        for t in enumerate_surjections(n):
-            part_choices = [parts_of_size[size] for size in t.preimage_sizes()]
-            sigma_t = sigma_of(t).values
-            for choice in itertools.product(*part_choices):
-                parts = tuple(part for part, _ in choice)
+        for t in of_size[n - 1]:
+            # rhs[a] = blockwise[sigma_t(a) - 1]; itemgetter of a single
+            # index returns the item, not a 1-tuple, so n = 1 copies instead.
+            gather = itemgetter(*[v - 1 for v in sigma_of(t).values])
+            gather = gather if n > 1 else tuple
+            part_choices, sigma_choices, offset = [], [], 0
+            for size in t.preimage_sizes():
+                part_choices.append(of_size[size - 1])
+                sigma_choices.append([tuple(map(offset.__add__, u)) for u in unshuffles[size - 1]])
+                offset += size
+            for parts, sigmas in zip(
+                itertools.product(*part_choices), itertools.product(*sigma_choices)
+            ):
                 lhs = sigma_of(substitute(t, parts)).values
-                blockwise: tuple[int, ...] = ()
-                for _, sigma in choice:
-                    blockwise = concat_words(blockwise, sigma)
-                rhs = compose(blockwise, sigma_t)
+                rhs = gather(sum(sigmas, ()))
                 if lhs != rhs:
-                    _fail(
-                        t=t,
-                        parts=parts,
-                        lhs=list(lhs),
-                        rhs=list(rhs),
-                    )
+                    _fail(t=t, parts=parts, lhs=list(lhs), rhs=list(rhs))
 
 
 def check_shuffle_factorization(max_n: int) -> None:
@@ -239,12 +225,13 @@ def check_shuffle_factorization(max_n: int) -> None:
             factors = shuffle_factorize(s)
             if len(factors) != max(t.k - 1, 0):
                 _fail(t=t, factors=factors)
-            sizes = t.preimage_sizes()
+            sizes = s.blocks
+            head = n  # the inputs below the top level of factor j
             for j, factor in enumerate(factors, start=1):
-                head = sum(sizes[: t.k - j])
+                head -= sizes[t.k - j]
                 if factor.blocks != (head, sizes[t.k - j]):
                     _fail(t=t, factor=factor, j=j)
-            if factors and staged_product(factors, s.blocks) != s:
+            if factors and staged_product(factors, sizes) != s:
                 _fail(t=t, factors=factors)
 
 
@@ -670,9 +657,9 @@ class Check:
 
 CHECKS: tuple[Check, ...] = (
     Check("substitution-units", check_substitution_units, 6, 7),
-    Check("substitution-associativity", check_substitution_associativity, 4, 4),
-    Check("diamond", check_diamond, 6, 7),
-    Check("sequential-composition", check_sequential, 6, 8),
+    Check("substitution-associativity", check_substitution_associativity, 4, 5),
+    Check("diamond", check_diamond, 6, 8),
+    Check("sequential-composition", check_sequential, 6, 9),
     Check("unshuffle-substitution", check_unshuffle_substitution, 6, 6),
     Check("shuffle-factorization", check_shuffle_factorization, 6, 8),
     Check("encoding-roundtrips", check_encoding_roundtrips, 6, 8),
@@ -687,7 +674,7 @@ CHECKS: tuple[Check, ...] = (
     Check("boundary-pins", check_boundary_pins, None),
     Check("homology-contractible", check_homology, 7, 7),
     Check("differential-leibniz", check_leibniz, 7, 8),
-    Check("skeleton-covers", check_skeleton_covers, 5, 6),
+    Check("skeleton-covers", check_skeleton_covers, 5, 7),
     Check("bruhat-structure", check_bruhat, 7, 8),
     Check("derivation-relations", check_derivation_relations, None),
     Check("derivation-monomials", check_derivation_monomials, 4, 5),
