@@ -166,7 +166,7 @@ def _search(root: tuple[int, ...], kinds, goal=None) -> dict:
     return reached
 
 
-def cover_connected(n: int, kinds=(1, 2)) -> tuple[bool, list[Cover]]:
+def cover_connected(n: int, kinds) -> tuple[bool, list[Cover]]:
     """Whether covers of the given kinds connect all words, with a spanning tree.
 
     Search runs from the identity; the returned covers each attach one new

@@ -17,9 +17,8 @@ A composite of basis elements is one basis element, so a relation with at
 most two terms, each coefficient a unit monomial +-q^e, makes every such
 vector a binomial of the same shape: an edge of a graph on the free basis.
 :class:`BinomialQuotient` reads the quotient off that graph with a
-weighted union-find and no elimination; every preset is of this kind.  A
-relation of any other shape sends :func:`quotient_dim` to
-:func:`~permutads.linalg.span_rank` over :func:`ideal_vectors`.  Free
+weighted union-find and no elimination; every preset is of this kind, and
+:func:`quotient_dim` refuses a relation of any other shape.  Free
 dimensions are counted by :func:`free_dimension`, not listed.
 """
 
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .linalg import LinComb, QPoly, span_rank
+from .linalg import LinComb, QPoly
 from .surjections import (
     Surjection,
     UNIT,
@@ -326,19 +325,23 @@ def _edge(first, second=None):
 
 
 def binomial_edges(relations, M: GeneratorSet, n: int):
-    """The generator-slot vectors of the arity-n ideal as edges, or None.
+    """The generator-slot vectors of the arity-n ideal as edges.
 
     Nodes are free basis elements as (values, decorations) pairs.  A vector
     c_a*a + c_b*b, each c a unit monomial +-q^e, says a = sign*q^exponent*b
     and becomes the edge (a, b, sign, exponent); a one-term vector says
-    a = 0 and becomes (a, None, 0, 0).  None when some relation has more
-    than two terms or a coefficient that is not +-q^e (an int, Fraction or
-    :class:`QPoly`): its vectors are no such binomials.
+    a = 0 and becomes (a, None, 0, 0).  A relation with more than two terms
+    or a coefficient that is not +-q^e (an int, Fraction or :class:`QPoly`)
+    has vectors that are no such binomials: it raises ValueError before
+    any slot is walked.
     """
-    units = [{d: _unit_monomial(c) for d, c in rel.terms()} for rel in relations]
-    if any(len(u) > 2 or None in u.values() for u in units):
-        return None
-    return (_edge(*terms) for terms in _slot_vectors(map(LinComb, units), M, n))
+    units = []
+    for rel in relations:
+        unit = {d: _unit_monomial(c) for d, c in rel.terms()}
+        if len(unit) > 2 or None in unit.values():
+            raise ValueError(f"not a binomial with coefficients +-q^e: {rel!r}")
+        units.append(LinComb(unit))
+    return (_edge(*terms) for terms in _slot_vectors(units, M, n))
 
 
 class BinomialQuotient:
@@ -408,16 +411,12 @@ class BinomialQuotient:
 def quotient_dim(relations, M: GeneratorSet, n: int) -> int:
     """Dimension of the arity-n component of the quotient by the relations.
 
-    When every relation is a binomial with coefficients +-q^e, so is every
-    generator-slot vector, and :class:`BinomialQuotient` ranks them with no
-    elimination; any other relation sends the vectors to :func:`span_rank`.
+    Every relation must be a binomial with coefficients +-q^e, as every
+    preset's is.  Then so is every generator-slot vector, and
+    :class:`BinomialQuotient` ranks them with no elimination.  Any other
+    relation is refused with ValueError by :func:`binomial_edges`.
     """
-    edges = binomial_edges(relations, M, n)
-    if edges is None:
-        rank = span_rank(ideal_vectors(relations, M, n))
-    else:
-        rank = BinomialQuotient(edges).rank
-    return free_dimension(M, n) - rank
+    return free_dimension(M, n) - BinomialQuotient(binomial_edges(relations, M, n)).rank
 
 
 def specialize(v: LinComb, value) -> LinComb:

@@ -239,34 +239,14 @@ def enumerate_surjections(n: int, k: int | None = None) -> list[Surjection]:
 
 # ---------------------------------------------------------------------------
 # Permutation words.  A word w of length n represents the bijection sending
-# i to w[i - 1]; composition follows the usual convention (u * w)(x) = u(w(x)).
-
-def identity_word(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
-def compose(u: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply w first, then u.
-
-    >>> compose((2, 1, 3), (3, 1, 2))
-    (3, 2, 1)
-    """
-    if len(u) != len(w):
-        raise ValueError(f"words of lengths {len(u)} and {len(w)} do not compose")
-    return tuple(u[x - 1] for x in w)
-
+# i to w[i - 1]; its inverse and its inversion count are all the package
+# reads of it.
 
 def inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(w)
     for i, v in enumerate(w, start=1):
         out[v - 1] = i
     return tuple(out)
-
-
-def concat_words(u: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
-    """Block sum: u acting on the first positions, w shifted past them."""
-    n = len(u)
-    return u + tuple(v + n for v in w)
 
 
 def inversions(w: tuple[int, ...]) -> int:

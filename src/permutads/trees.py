@@ -218,17 +218,12 @@ def comb_from_nested(nested: Nested) -> ShuffleLeftComb:
 
 
 def leaves_of(nested: Nested) -> list[int]:
-    out: list[int] = []
-
-    def walk(node: Nested) -> None:
-        if isinstance(node, int):
-            out.append(node)
-        else:
-            for child in node:
-                walk(child)
-
-    walk(nested)
-    return out
+    """The leaves left to right; a node is an int leaf or a list, else ValueError."""
+    if type(nested) is int:
+        return [nested]
+    if not isinstance(nested, list):
+        raise ValueError(f"tree node is neither an int leaf nor a list: {nested!r}")
+    return [leaf for child in nested for leaf in leaves_of(child)]
 
 
 def validate_shuffle_tree(nested: Nested) -> tuple[bool, tuple[int, ...] | None]:
@@ -256,14 +251,14 @@ def validate_shuffle_tree(nested: Nested) -> tuple[bool, tuple[int, ...] | None]
             return -1
         minima = []
         for idx, child in enumerate(node):
-            least = child if isinstance(child, int) else walk(child)
+            least = child if type(child) is int else walk(child)
             if least is None or least < 0:
                 path.append(idx)
                 return least
             minima.append(least)
         return minima[0] if minima == sorted(minima) else None
 
-    least = nested if isinstance(nested, int) else walk(nested)
+    least = nested if type(nested) is int else walk(nested)
     if least == -1:
         raise ValueError(f"vertex with fewer than two inputs at {tuple(reversed(path))}")
     return (True, None) if least is not None else (False, tuple(reversed(path)))

@@ -206,7 +206,8 @@ def check_unshuffle_substitution(max_n: int) -> None:
             part_choices, sigma_choices, offset = [], [], 0
             for size in t.preimage_sizes():
                 part_choices.append(of_size[size - 1])
-                sigma_choices.append([tuple(map(offset.__add__, u)) for u in unshuffles[size - 1]])
+                own = unshuffles[size - 1]
+                sigma_choices.append([tuple(map(offset.__add__, u)) for u in own] if offset else own)
                 offset += size
             for parts, sigmas in zip(
                 itertools.product(*part_choices), itertools.product(*sigma_choices)

@@ -88,7 +88,7 @@ def test_type1_spanning_tree(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_full_order_spanning_tree(n):
-    connected, tree = cover_connected(n)
+    connected, tree = cover_connected(n, (1, 2))
     assert connected
     assert len(tree) == factorial(n) - 1
     assert {w for c in tree for w in (c.source, c.target)} == set(all_words(n))

@@ -215,12 +215,15 @@ def test_binomial_quotient_pins():
 
 
 @pytest.mark.parametrize("coeffs", [(1, -1, 1), (1, 2), (QPoly.const(2),), (QPoly((1, 1)),)])
-def test_other_relations_fall_back_to_the_span_rank(coeffs):
+def test_other_relations_are_refused(coeffs):
+    # Three terms, or a coefficient that is not +-q^e: refused before any slot walk.
     M = BINARY[("a", "b")]
     relations = [LinComb(dict(zip(free_basis(M, 3), coeffs)))]
-    assert binomial_edges(relations, M, 3) is None
+    with pytest.raises(ValueError, match="not a binomial with coefficients"):
+        binomial_edges(relations, M, 3)
     for n in (3, 4):
-        assert quotient_dim(relations, M, n) == _span_dim(relations, M, n)
+        with pytest.raises(ValueError, match="not a binomial with coefficients"):
+            quotient_dim(relations, M, n)
 
 
 def _mu_relations():

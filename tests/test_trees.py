@@ -130,6 +130,14 @@ def test_validate_shuffle_tree_rejects_bad_leaves():
         validate_shuffle_tree([1, 2, 3])
 
 
+@pytest.mark.parametrize("node", ["a", None, True, 1.0], ids=repr)
+def test_a_node_is_an_int_leaf_or_a_list(node):
+    # Once a string recursed forever, None raised TypeError and True passed as leaf 1.
+    for walker in (leaves_of, validate_shuffle_tree):
+        with pytest.raises(ValueError, match=f"neither an int leaf nor a list: {node!r}"):
+            walker([0, node])
+
+
 def test_from_json_checks_consistency():
     tr = tree_from_surjection(Surjection((1, 2)))
     broken = tr.to_json()
