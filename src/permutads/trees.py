@@ -157,10 +157,11 @@ class ShuffleLeftComb:
         return self.t.blocks()
 
     def to_json(self) -> dict:
-        return {
-            "labels": [list(level) for level in self.labels],
-            "nested": comb_to_nested(self),
-        }
+        labels = self.labels
+        nested: Nested = 0  # leaf 0, then each level nests the node above leftmost
+        for level in labels:
+            nested = [nested, *level]
+        return {"labels": [list(level) for level in labels], "nested": nested}
 
     @staticmethod
     def from_json(obj: dict) -> "ShuffleLeftComb":
@@ -192,11 +193,7 @@ def comb_to_nested(c: ShuffleLeftComb) -> Nested:
     >>> comb_to_nested(comb_from_surjection(Surjection((1, 2, 1, 1, 2))))
     [[0, 1, 3, 4], 2, 5]
     """
-    top, *below = c.labels
-    node: Nested = [0, *top]
-    for level in below:
-        node = [node, *level]
-    return node
+    return c.to_json()["nested"]
 
 
 def comb_from_nested(nested: Nested) -> ShuffleLeftComb:
@@ -265,7 +262,10 @@ def validate_shuffle_tree(nested: Nested) -> tuple[bool, tuple[int, ...] | None]
 
 
 def strip_levels(nested: Nested) -> Nested:
-    """Forget the level markers of a leveled render, keeping the planar tree."""
-    if isinstance(nested, int):
+    """Forget the level markers of a leveled render, keeping the planar tree;
+    a node is an int leaf or a list, else ValueError."""
+    if type(nested) is int:
         return nested
-    return [child if isinstance(child, int) else strip_levels(child) for child in nested[1:]]
+    if not isinstance(nested, list):
+        raise ValueError(f"tree node is neither an int leaf nor a list: {nested!r}")
+    return [child if type(child) is int else strip_levels(child) for child in nested[1:]]

@@ -673,7 +673,7 @@ CHECKS: tuple[Check, ...] = (
     Check("permutohedron-f-vectors", check_f_vectors, 6, 8),
     Check("boundary-squared", check_boundary_squared, 7, 7),
     Check("boundary-pins", check_boundary_pins, None),
-    Check("homology-contractible", check_homology, 7, 7),
+    Check("homology-contractible", check_homology, 7, 8),
     Check("differential-leibniz", check_leibniz, 7, 8),
     Check("skeleton-covers", check_skeleton_covers, 5, 7),
     Check("bruhat-structure", check_bruhat, 7, 8),

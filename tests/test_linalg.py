@@ -12,7 +12,7 @@ from permutads.linalg import (
     _gcd,
     _mul,
     csv_triples,
-    rank_of_rows,
+    pivot_keys,
     span_rank,
 )
 from permutads.permutad import PRESETS, ideal_vectors, specialize
@@ -172,11 +172,11 @@ def test_span_rank_of_empty_and_zero_families():
 def test_rank_of_numbered_rows():
     # Rows are consumed in place; empty rows count for nothing.
     rows = [{0: 2, 1: -2}, {}, {1: 3, 2: -3}, {0: 1, 2: -1}, {2: 5}]
-    assert rank_of_rows(rows) == 3
+    assert len(pivot_keys(rows)) == 3
     # Z[q] entries are coefficient tuples: q is (0, 1).
-    assert rank_of_rows([{0: (0, 1), 1: (1,)}, {0: (0, 0, 1), 1: (0, 1)}]) == 1
+    assert len(pivot_keys([{0: (0, 1), 1: (1,)}, {0: (0, 0, 1), 1: (0, 1)}])) == 1
     with pytest.raises(ValueError):
-        rank_of_rows([{0: 1}, {0: (0, 1)}])
+        pivot_keys([{0: 1}, {0: (0, 1)}])
 
 
 def test_qpermas_rank_at_minus_one():

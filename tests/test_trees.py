@@ -101,6 +101,20 @@ def test_comb_roundtrips(t):
     assert ShuffleLeftComb.from_json(c.to_json()) == c
 
 
+def test_comb_to_json_walks_the_blocks_once(monkeypatch):
+    blocks = Surjection.blocks
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return blocks(t)
+
+    monkeypatch.setattr(Surjection, "blocks", counted)
+    got = ShuffleLeftComb(Surjection((1, 2, 1, 1, 2))).to_json()
+    assert got == {"labels": [[1, 3, 4], [2, 5]], "nested": [[0, 1, 3, 4], 2, 5]}
+    assert len(calls) == 1
+
+
 @given(surjections)
 def test_renders_are_shuffle_trees(t):
     plain = strip_levels(tree_to_nested(tree_from_surjection(t)))
@@ -132,8 +146,9 @@ def test_validate_shuffle_tree_rejects_bad_leaves():
 
 @pytest.mark.parametrize("node", ["a", None, True, 1.0], ids=repr)
 def test_a_node_is_an_int_leaf_or_a_list(node):
-    # Once a string recursed forever, None raised TypeError and True passed as leaf 1.
-    for walker in (leaves_of, validate_shuffle_tree):
+    # Once a string recursed forever, None raised TypeError and True passed as leaf 1;
+    # strip_levels (the 0 is its level marker) took a string for a list.
+    for walker in (leaves_of, validate_shuffle_tree, strip_levels):
         with pytest.raises(ValueError, match=f"neither an int leaf nor a list: {node!r}"):
             walker([0, node])
 

@@ -35,7 +35,7 @@ def test_homology_reaches_seven_letters():
     check = next(c for c in CHECKS if c.name == "homology-contractible")
     assert bound_for(check) == 7
     assert bound_for(check, 7) == 7
-    assert bound_for(check, 99) == 7
+    assert bound_for(check, 99) == 8
     verify.check_homology(7)
 
 
