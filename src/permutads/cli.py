@@ -116,41 +116,35 @@ def cmd_enum(args) -> int:
         ts.sort(key=lambda t: (t.dim, t.values))
         render = _cell_json
     else:  # the plural of a convert kind
-        render = _TO[args.kind[:-1]]
+        render = _CODECS[args.kind[:-1]].to_json
     for t in ts:
         _emit(render(t))
     return 0
 
 
-_FROM = {
-    "surjection": Surjection.from_json,
-    "shuffle": lambda obj: Shuffle.from_json(obj).t,
-    "tree": lambda obj: LeveledTree.from_json(obj).t,
-    "comb": lambda obj: ShuffleLeftComb.from_json(obj).t,
-}
+_CODECS = {"surjection": Surjection, "shuffle": Shuffle,
+           "tree": LeveledTree, "comb": ShuffleLeftComb}
 
-_TO = {
-    "surjection": Surjection.to_json,
-    "shuffle": lambda t: Shuffle(t).to_json(),
-    "tree": lambda t: LeveledTree(t).to_json(),
-    "comb": lambda t: ShuffleLeftComb(t).to_json(),
-}
+
+def _input_lines(path: str):
+    """The lines of the input file, or of stdin for "-", read one at a time."""
+    try:
+        if path == "-":
+            yield from sys.stdin
+            return
+        with open(path, encoding="utf-8") as handle:
+            yield from handle
+    except OSError as exc:
+        raise DomainError(f"cannot read input {path}: {exc.strerror}", path=path)
 
 
 def cmd_convert(args) -> int:
-    try:
-        if args.input == "-":
-            lines = sys.stdin.readlines()
-        else:
-            with open(args.input, encoding="utf-8") as handle:
-                lines = handle.readlines()
-    except OSError as exc:
-        raise DomainError(f"cannot read input {args.input}: {exc.strerror}", path=args.input)
-    for lineno, line in enumerate(lines, start=1):
+    parse, render = _CODECS[args.from_kind].from_json, _CODECS[args.to_kind].to_json
+    for lineno, line in enumerate(_input_lines(args.input), start=1):
         if not line.strip():
             continue
         try:
-            t = _FROM[args.from_kind](json.loads(line))
+            t = parse(json.loads(line))
         except json.JSONDecodeError as exc:
             raise DomainError(
                 f"malformed JSON on input line {lineno}: {exc.msg}",
@@ -163,7 +157,7 @@ def cmd_convert(args) -> int:
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"bad {args.from_kind} on input line {lineno}: {exc}")
         _require_size(t.n, "conversion")
-        _emit(_TO[args.to_kind](t))
+        _emit(render(t))
     return 0
 
 

@@ -8,8 +8,9 @@ inverse of the unshuffle sigma_t returned by :func:`sigma_of`.  For the
 surjection (1,2,1,1,2) the blocks are {1,3,4} and {2,5}, the shuffle is
 (1,3,4,2,5) and sigma_t = (1,4,2,3,5).
 
-A :class:`Shuffle` holds t alone and reads its block sizes and word off
-it; words from outside are checked once, in :meth:`Shuffle.from_json`.
+:class:`Shuffle` is a codec like the pair on :class:`Surjection`: ``to_json``
+reads the block sizes and word off t, and ``from_json`` checks a word from
+outside once and returns its surjection.
 
 Every (i_1,...,i_k)-shuffle factors uniquely into k - 1 binary shuffles,
 and the factors have a closed form.  Let t be the surjection of the
@@ -17,14 +18,13 @@ shuffle and 1 <= j < k.  Factor j, counted from the outermost, is the
 shuffle of t restricted to the positions at levels up to L = k - j + 1,
 with level L kept as level 2 and every level below it merged into level 1:
 an (i_1 + ... + i_{L-1}, i_L)-shuffle.  :func:`shuffle_factorize` reads the
-factors off t that way, and :func:`staged_product` multiplies them back as
-padded words, independently of that form.
+factors off t that way, as surjections, and :func:`staged_product`
+multiplies their words back as padded words, independently of that form.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .surjections import Surjection
 
@@ -35,50 +35,36 @@ def _cut(perm: tuple[int, ...], sizes: tuple[int, ...]) -> list[tuple[int, ...]]
     return [perm[end - size : end] for size, end in zip(sizes, ends)]
 
 
-@dataclass(frozen=True)
-class Shuffle:
-    """The block-increasing word of a surjection t, with its block sizes.
+def _perm(t: Surjection) -> tuple[int, ...]:
+    """The block-increasing word of t: its positions by level, stably."""
+    values = t.values
+    return tuple(sorted(range(1, len(values) + 1), key=(0, *values).__getitem__))
 
-    >>> Shuffle(Surjection((1, 2, 1))).perm
-    (1, 3, 2)
+
+class Shuffle:
+    """Codec between a surjection and its block sizes with its word.
+
+    >>> Shuffle.to_json(Surjection((1, 2, 1)))
+    {'blocks': [2, 1], 'perm': [1, 3, 2]}
     """
 
-    t: Surjection
-
-    @property
-    def blocks(self) -> tuple[int, ...]:
-        return self.t.preimage_sizes()
-
-    @property
-    def perm(self) -> tuple[int, ...]:
-        values = self.t.values  # positions by level, stably: the blocks in turn
-        return tuple(sorted(range(1, len(values) + 1), key=(0, *values).__getitem__))
-
-    def to_json(self) -> dict:
-        return {"blocks": list(self.blocks), "perm": list(self.perm)}
+    @staticmethod
+    def to_json(t: Surjection) -> dict:
+        return {"blocks": list(t.preimage_sizes()), "perm": list(_perm(t))}
 
     @staticmethod
-    def from_json(obj: dict) -> "Shuffle":
+    def from_json(obj: dict) -> Surjection:
         blocks, perm = tuple(obj["blocks"]), tuple(obj["perm"])
         if any(type(b) is not int for b in blocks):
             raise ValueError(f"block sizes must be integers, got {blocks}")
         pieces = _cut(perm, blocks)
         if tuple(map(len, pieces)) != blocks or sum(blocks) != len(perm):
             raise ValueError(f"block sizes {blocks} do not cut {perm}")
-        return Shuffle(Surjection.from_blocks(pieces))
-
-
-def shuffle_of(t: Surjection) -> Shuffle:
-    """The block-increasing word listing each preimage of t in turn.
-
-    >>> shuffle_of(Surjection((1, 2, 1, 1, 2))).perm
-    (1, 3, 4, 2, 5)
-    """
-    return Shuffle(t)
+        return Surjection.from_blocks(pieces)
 
 
 def sigma_of(t: Surjection) -> Surjection:
-    """The unshuffle sigma_t, inverse of the word built by shuffle_of.
+    """The unshuffle sigma_t, inverse of the word Shuffle.to_json renders.
 
     Position a at level j goes to one past every position at a lower level
     and every earlier position at level j.  Permutations are their own
@@ -99,16 +85,7 @@ def sigma_of(t: Surjection) -> Surjection:
     return Surjection._of(tuple(out), n)
 
 
-def surjection_of_shuffle(s: Shuffle) -> Surjection:
-    """Inverse of shuffle_of: position p at block j means t(p) = j.
-
-    >>> surjection_of_shuffle(shuffle_of(Surjection((2, 1, 2)))).values
-    (2, 1, 2)
-    """
-    return s.t
-
-
-def staged_product(factors: list[Shuffle], blocks: tuple[int, ...]) -> Shuffle:
+def staged_product(factors: list[Surjection], blocks: tuple[int, ...]) -> Surjection:
     """Recombine binary factors into the (i_1,...,i_k)-shuffle they came from.
 
     The j-th factor acts on the first i_1 + ... + i_{k-j+1} points and is
@@ -118,26 +95,35 @@ def staged_product(factors: list[Shuffle], blocks: tuple[int, ...]) -> Shuffle:
     n = sum(blocks)
     word = range(1, n + 1)
     for factor in reversed(factors):
-        if factor.t.n > n:
-            raise ValueError(f"a factor on {factor.t.n} points does not fit in {n}")
-        padded = (0, *factor.perm, *range(factor.t.n + 1, n + 1))  # 1-based
+        if factor.n > n:
+            raise ValueError(f"a factor on {factor.n} points does not fit in {n}")
+        padded = (0, *_perm(factor), *range(factor.n + 1, n + 1))  # 1-based
         word = tuple(map(padded.__getitem__, word))
-    return Shuffle(Surjection.from_blocks(_cut(word, blocks)))
+    return Surjection.from_blocks(_cut(word, blocks))
 
 
-def shuffle_factorize(s: Shuffle) -> list[Shuffle]:
-    """The unique binary factors of a block shuffle, outermost first.
+def shuffle_factorize(t: Surjection) -> list[Surjection]:
+    """The unique binary factors of the shuffle of t, outermost first.
 
-    Factor j is the shuffle of the surjection of s cut down to its levels
-    up to k - j + 1, every level below that top one merged into level 1:
-    an (i_1 + ... + i_{k-j}, i_{k-j+1})-shuffle.
+    Factor j is t cut down to its levels up to k - j + 1, every level below
+    that top one merged into level 1: the surjection of an
+    (i_1 + ... + i_{k-j}, i_{k-j+1})-shuffle.
 
-    >>> s = Shuffle.from_json({"blocks": [1, 1, 1], "perm": [2, 3, 1]})
-    >>> [f.perm for f in shuffle_factorize(s)]
-    [(2, 3, 1), (1, 2)]
+    >>> t = Shuffle.from_json({"blocks": [1, 1, 1], "perm": [2, 3, 1]})
+    >>> [Shuffle.to_json(f)["perm"] for f in shuffle_factorize(t)]
+    [[2, 3, 1], [1, 2]]
     """
-    t = s.t.values
+    values = t.values
     return [
-        Shuffle(Surjection._of(tuple(1 if v < top else 2 for v in t if v <= top), 2))
-        for top in range(s.t.k, 1, -1)
+        Surjection._of(tuple(1 if v < top else 2 for v in values if v <= top), 2)
+        for top in range(t.k, 1, -1)
     ]
+
+
+# The benchmark tracer wraps these by name; the package calls the codec.
+def shuffle_of(t: Surjection) -> dict:
+    return Shuffle.to_json(t)
+
+
+def surjection_of_shuffle(obj: dict) -> Surjection:
+    return Shuffle.from_json(obj)

@@ -24,8 +24,9 @@ operation arity of vertex j is one more than its preimage size.  The
 preimages in vertex order form an ordered partition of 1..n,
 :meth:`Surjection.blocks`; :meth:`Surjection.from_blocks` is its inverse and
 the one place a partition is validated.  Shuffles, leveled trees and left
-combs are renders of that partition: each holds one validated surjection
-and nothing else, so only the parsers that read them from outside check.
+combs are renders of that partition, each a codec with this class's
+``to_json`` and ``from_json`` pair: a render reads a validated surjection
+and checks nothing, and only the parsers of outside input check.
 
 Permutations appear throughout as plain value tuples ("words"): ``w[i - 1]``
 is the image of i.  Helpers for words live at the bottom of the module.

@@ -5,10 +5,11 @@ whose gap i (between leaves i - 1 and i) closes at level t(i), levels
 numbered downward from 1.  The gap sets per level (:class:`LeveledTree`)
 and the label sets of a left comb (:class:`ShuffleLeftComb`) are both the
 ordered partition :meth:`Surjection.blocks`; they differ only in how they
-draw it.  So each class holds t alone and reads its sets off t, and one
-built from a surjection is valid by construction.  Outside input enters
-through ``from_json`` and the nested parsers, which validate it once.
-Both need n >= 1: the unit surjection has no tree and no comb.
+draw it.  So each class is a codec, like the pair on :class:`Surjection`:
+``to_json(t)`` reads the sets off t and needs no check, while ``from_json``
+and the nested parsers validate outside input once and return its
+surjection.  Both drawings need n >= 1: the renders and the parsers refuse
+the unit surjection, which has no tree and no comb.
 
 Two nested-array renders are used for JSON:
 
@@ -30,68 +31,43 @@ condition on plain nested lists and reports the first offending vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .surjections import Surjection
 
 Nested = int | list
 
 
-@dataclass(frozen=True)
 class LeveledTree:
-    """The tree of t: gap i closes at level t(i), so level j owns block j."""
-
-    t: Surjection
-
-    def __post_init__(self) -> None:
-        if not self.t.n:
-            raise ValueError("a leveled tree needs at least one gap")
-
-    @property
-    def levels(self) -> tuple[tuple[int, ...], ...]:
-        return self.t.blocks()
-
-    def to_json(self) -> dict:
-        return {
-            "levels": [list(level) for level in self.levels],
-            "nested": tree_to_nested(self),
-        }
+    """Codec between a surjection and its tree: gap i closes at level t(i)."""
 
     @staticmethod
-    def from_json(obj: dict) -> "LeveledTree":
+    def to_json(t: Surjection) -> dict:
+        return {"levels": [list(level) for level in t.blocks()], "nested": tree_to_nested(t)}
+
+    @staticmethod
+    def from_json(obj: dict) -> Surjection:
         if "levels" in obj:
-            levels = tuple(map(tuple, map(sorted, obj["levels"])))
-            tr = LeveledTree(Surjection.from_blocks(levels))
-            if "nested" in obj and tree_from_nested(obj["nested"]) != tr:
+            t = Surjection.from_blocks(tuple(map(tuple, map(sorted, obj["levels"]))))
+            if not t.n:
+                raise ValueError("a leveled tree needs at least one gap")
+            if "nested" in obj and tree_from_nested(obj["nested"]) != t:
                 raise ValueError("levels and nested render disagree")
-            return tr
+            return t
         return tree_from_nested(obj["nested"])
 
 
-def tree_from_surjection(t: Surjection) -> LeveledTree:
-    """Drop gap i to level t(i).
-
-    >>> tree_from_surjection(Surjection((1, 2, 1))).levels
-    ((1, 3), (2,))
-    """
-    return LeveledTree(t)
-
-
-def tree_to_surjection(tr: LeveledTree) -> Surjection:
-    return tr.t
-
-
-def tree_to_nested(tr: LeveledTree) -> Nested:
+def tree_to_nested(t: Surjection) -> Nested:
     """Planar render; see the module docstring for the node convention.
 
-    >>> tree_to_nested(tree_from_surjection(Surjection((1, 2, 1))))
+    >>> tree_to_nested(Surjection((1, 2, 1)))
     [2, [1, 0, 1], [1, 2, 3]]
-    >>> tree_to_nested(tree_from_surjection(Surjection((1, 1, 2))))
+    >>> tree_to_nested(Surjection((1, 1, 2)))
     [2, [1, 0, 1, 2], 3]
     """
+    if not t.n:
+        raise ValueError("a leveled tree needs at least one gap")
     stack: list[list] = []  # open nodes, levels falling toward the top
     last: Nested = 0  # the leaf or closed node right of the latest gap
-    for leaf, level in enumerate(tr.t.values, start=1):
+    for leaf, level in enumerate(t.values, start=1):
         while stack and stack[-1][0] < level:
             stack[-1].append(last)
             last = stack.pop()
@@ -106,8 +82,8 @@ def tree_to_nested(tr: LeveledTree) -> Nested:
     return last
 
 
-def tree_from_nested(nested: Nested) -> LeveledTree:
-    """Parse the planar render back to gap sets; exact inverse of the render.
+def tree_from_nested(nested: Nested) -> Surjection:
+    """Parse the planar render back to its surjection; exact inverse of the render.
 
     Read left to right, each child after the first opens the next gap at
     its node's level, and the leaves must read 0..n.  Only the canonical
@@ -135,68 +111,48 @@ def tree_from_nested(nested: Nested) -> LeveledTree:
     k = max(gaps, default=0)
     if len(set(gaps)) != k:
         raise ValueError(f"tree levels {sorted(set(gaps))} skip a level below {k}")
-    # Positive integers onto 1..k, checked just above.
-    tr = LeveledTree(Surjection._of(tuple(gaps), k))
-    if tree_to_nested(tr) != nested:
+    # Positive integers onto 1..k, checked just above; the render refuses n = 0.
+    t = Surjection._of(tuple(gaps), k)
+    if tree_to_nested(t) != nested:
         raise ValueError(f"nested tree is not in canonical form: {nested!r}")
-    return tr
+    return t
 
 
-@dataclass(frozen=True)
 class ShuffleLeftComb:
-    """The left comb of t: vertex j, top first, carries block j as labels."""
+    """Codec between a surjection and its left comb: vertex j, top first, has block j."""
 
-    t: Surjection
-
-    def __post_init__(self) -> None:
-        if not self.t.n:
+    @staticmethod
+    def to_json(t: Surjection) -> dict:
+        if not t.n:
             raise ValueError("a left comb needs at least one label")
-
-    @property
-    def labels(self) -> tuple[tuple[int, ...], ...]:
-        return self.t.blocks()
-
-    def to_json(self) -> dict:
-        labels = self.labels
+        labels = t.blocks()
         nested: Nested = 0  # leaf 0, then each level nests the node above leftmost
         for level in labels:
             nested = [nested, *level]
         return {"labels": [list(level) for level in labels], "nested": nested}
 
     @staticmethod
-    def from_json(obj: dict) -> "ShuffleLeftComb":
+    def from_json(obj: dict) -> Surjection:
         if "labels" in obj:
-            labels = tuple(map(tuple, obj["labels"]))
-            c = ShuffleLeftComb(Surjection.from_blocks(labels))
-            if "nested" in obj and comb_from_nested(obj["nested"]) != c:
+            t = Surjection.from_blocks(tuple(map(tuple, obj["labels"])))
+            if not t.n:
+                raise ValueError("a left comb needs at least one label")
+            if "nested" in obj and comb_from_nested(obj["nested"]) != t:
                 raise ValueError("labels and nested render disagree")
-            return c
+            return t
         return comb_from_nested(obj["nested"])
 
 
-def comb_from_surjection(t: Surjection) -> ShuffleLeftComb:
-    """Vertex j of the comb collects the preimage of j.
-
-    >>> comb_from_surjection(Surjection((1, 2, 1, 1, 2))).labels
-    ((1, 3, 4), (2, 5))
-    """
-    return ShuffleLeftComb(t)
-
-
-def comb_to_surjection(c: ShuffleLeftComb) -> Surjection:
-    return c.t
-
-
-def comb_to_nested(c: ShuffleLeftComb) -> Nested:
+def comb_to_nested(t: Surjection) -> Nested:
     """Nest the comb along its left spine; leaf 0 joins the top vertex.
 
-    >>> comb_to_nested(comb_from_surjection(Surjection((1, 2, 1, 1, 2))))
+    >>> comb_to_nested(Surjection((1, 2, 1, 1, 2)))
     [[0, 1, 3, 4], 2, 5]
     """
-    return c.to_json()["nested"]
+    return ShuffleLeftComb.to_json(t)["nested"]
 
 
-def comb_from_nested(nested: Nested) -> ShuffleLeftComb:
+def comb_from_nested(nested: Nested) -> Surjection:
     levels: list[tuple[int, ...]] = []
     node = nested
     while True:
@@ -211,7 +167,7 @@ def comb_from_nested(nested: Nested) -> ShuffleLeftComb:
                 raise ValueError(f"topmost left leaf must be 0, got {head}")
             break
         node = head
-    return ShuffleLeftComb(Surjection.from_blocks(tuple(reversed(levels))))
+    return Surjection.from_blocks(tuple(reversed(levels)))
 
 
 def leaves_of(nested: Nested) -> list[int]:
@@ -269,3 +225,20 @@ def strip_levels(nested: Nested) -> Nested:
     if not isinstance(nested, list):
         raise ValueError(f"tree node is neither an int leaf nor a list: {nested!r}")
     return [child if type(child) is int else strip_levels(child) for child in nested[1:]]
+
+
+# The benchmark tracer wraps these by name; the package calls the codecs.
+def tree_from_surjection(t: Surjection) -> dict:
+    return LeveledTree.to_json(t)
+
+
+def tree_to_surjection(obj: dict) -> Surjection:
+    return LeveledTree.from_json(obj)
+
+
+def comb_from_surjection(t: Surjection) -> dict:
+    return ShuffleLeftComb.to_json(t)
+
+
+def comb_to_surjection(obj: dict) -> Surjection:
+    return ShuffleLeftComb.from_json(obj)

@@ -222,17 +222,16 @@ def check_shuffle_factorization(max_n: int) -> None:
     """Binary factors recombine to the shuffle they were peeled from."""
     for n in range(1, max_n + 1):
         for t in enumerate_surjections(n):
-            s = Shuffle(t)
-            factors = shuffle_factorize(s)
+            factors = shuffle_factorize(t)
             if len(factors) != max(t.k - 1, 0):
                 _fail(t=t, factors=factors)
-            sizes = s.blocks
+            sizes = t.preimage_sizes()
             head = n  # the inputs below the top level of factor j
             for j, factor in enumerate(factors, start=1):
                 head -= sizes[t.k - j]
-                if factor.blocks != (head, sizes[t.k - j]):
+                if factor.preimage_sizes() != (head, sizes[t.k - j]):
                     _fail(t=t, factor=factor, j=j)
-            if factors and staged_product(factors, sizes) != s:
+            if factors and staged_product(factors, sizes) != t:
                 _fail(t=t, factors=factors)
 
 
@@ -245,20 +244,18 @@ def check_encoding_roundtrips(max_n: int) -> None:
     """
     for n in range(1, max_n + 1):
         for t in enumerate_surjections(n):
-            s = Shuffle(t)
-            if sigma_of(t).values != inverse(s.perm):
+            shuffle = Shuffle.to_json(t)
+            if sigma_of(t).values != inverse(shuffle["perm"]):
                 _fail(via="sigma", t=t)
-            if Shuffle.from_json(s.to_json()) != s:
+            if Shuffle.from_json(shuffle) != t:
                 _fail(via="shuffle-json", t=t)
-            tr = LeveledTree(t)
-            rendered = tr.to_json()
-            if LeveledTree.from_json(rendered) != tr:
+            tree = LeveledTree.to_json(t)
+            if LeveledTree.from_json(tree) != t:
                 _fail(via="tree-json", t=t)
-            ok, _ = validate_shuffle_tree(strip_levels(rendered["nested"]))
+            ok, _ = validate_shuffle_tree(strip_levels(tree["nested"]))
             if not ok:
                 _fail(via="shuffle-condition", t=t)
-            c = ShuffleLeftComb(t)
-            if ShuffleLeftComb.from_json(c.to_json()) != c:
+            if ShuffleLeftComb.from_json(ShuffleLeftComb.to_json(t)) != t:
                 _fail(via="comb-json", t=t)
 
 
@@ -306,13 +303,13 @@ def check_golden_table() -> None:
     """Seven pinned rows tying all four encodings of one surjection together."""
     for values, blocks, perm, comb_nested, leveled, sigma in GOLDEN_TABLE:
         t = Surjection(values)
-        s = Shuffle(t)
-        if (s.blocks, s.perm) != (blocks, perm):
-            _fail(t=t, got=s, want_blocks=blocks, want_perm=perm)
-        if comb_to_nested(ShuffleLeftComb(t)) != comb_nested:
-            _fail(t=t, got=comb_to_nested(ShuffleLeftComb(t)))
-        if tree_to_nested(LeveledTree(t)) != leveled:
-            _fail(t=t, got=tree_to_nested(LeveledTree(t)))
+        shuffle = Shuffle.to_json(t)
+        if shuffle != {"blocks": list(blocks), "perm": list(perm)}:
+            _fail(t=t, got=shuffle, want_blocks=blocks, want_perm=perm)
+        if comb_to_nested(t) != comb_nested:
+            _fail(t=t, got=comb_to_nested(t))
+        if tree_to_nested(t) != leveled:
+            _fail(t=t, got=tree_to_nested(t))
         if sigma_of(t).values != sigma:
             _fail(t=t, got=list(sigma_of(t).values))
 

@@ -78,6 +78,26 @@ def test_enum_streams_its_rows(monkeypatch):
     assert peak < 14_000_000
 
 
+def test_convert_streams_its_input(monkeypatch, tmp_path):
+    # Reading the 2.4 MB input whole before converting it held all of it
+    # (2.8 MB at peak under tracemalloc); line by line, about 0.4 MB.
+    # Blank padding, which JSON allows, makes each row long, so that few
+    # rows fill the file and tracemalloc, slowing each allocation, stays quick.
+    row = json.dumps({"n": 7, "k": 4, "values": [3, 1, 2, 1, 4, 2, 3]})
+    path = tmp_path / "padded.jsonl"
+    path.write_text((row.ljust(999) + "\n") * 2400, encoding="utf-8")
+    argv = ["convert", "--from", "surjection", "--to", "tree", "--input", str(path)]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_convert_roundtrip_through_trees(capsys, monkeypatch):
     code, surjections, _ = run(capsys, "enum", "surjections", "--n", "3")
     assert code == 0
@@ -173,21 +193,41 @@ def test_convert_rejects_non_canonical_nested_tree(capsys, monkeypatch):
     assert "canonical" in json.loads(err)["error"]
 
 
+NO_TREE = "a leveled tree needs at least one gap"
+NO_COMB = "a left comb needs at least one label"
+
+
 @pytest.mark.parametrize(
-    "kind, line",
+    "kind, line, refusal",
     [
-        pytest.param("tree", '{"nested": 0}', id="tree-nested"),
-        pytest.param("tree", '{"levels": []}', id="tree-levels"),
-        pytest.param("comb", '{"labels": []}', id="comb-labels"),
+        pytest.param("tree", '{"nested": 0}', NO_TREE, id="tree-nested"),
+        pytest.param("tree", '{"levels": []}', NO_TREE, id="tree-levels"),
+        pytest.param("comb", '{"labels": []}', NO_COMB, id="comb-labels"),
     ],
 )
-def test_convert_rejects_empty_trees_and_combs(capsys, monkeypatch, kind, line):
+def test_convert_rejects_empty_trees_and_combs(capsys, monkeypatch, kind, line, refusal):
     # A tree or comb has at least one input; the unit surjection has none.
     monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
     code, out, err = run(capsys, "convert", "--from", kind, "--to", "surjection")
     assert code == 1 and out == ""
     assert err.count("\n") == 1
-    assert "input line 1" in json.loads(err)["error"]
+    assert json.loads(err) == {"error": f"bad {kind} on input line 1: {refusal}"}
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        pytest.param(["enum", "trees", "--n", "0"], NO_TREE, id="enum-trees"),
+        pytest.param(["enum", "combs", "--n", "0"], NO_COMB, id="enum-combs"),
+        pytest.param(["convert", "--from", "surjection", "--to", "tree"], NO_TREE, id="to-tree"),
+        pytest.param(["convert", "--from", "surjection", "--to", "comb"], NO_COMB, id="to-comb"),
+    ],
+)
+def test_the_unit_surjection_renders_no_tree_and_no_comb(capsys, monkeypatch, argv, refusal):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"values": []}\n'))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == json.dumps({"error": refusal}) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """Rules read off the source of the package, one module at a time.
 
 The six encoding conversions stay defined because the benchmark tracer
-wraps them by name, but the package builds and unwraps encodings with the
-class constructors and the field ``t``; no ``assert`` guards a result,
+wraps them by name, but the package renders and parses encodings through
+the codecs' ``to_json`` and ``from_json``; no ``assert`` guards a result,
 since ``python -O`` strips it; and every top-level function and class is
 named by some code other than its own definition and the tests.
 """

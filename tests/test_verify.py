@@ -88,7 +88,7 @@ def _check(name):
 def test_encoding_roundtrips_parse_the_shuffle_render(monkeypatch):
     # A parser that reads every render as the one-letter shuffle is wrong
     # from n = 2 on; the check must parse the render to see it.
-    wrong = staticmethod(lambda obj: Shuffle(Surjection((1,))))
+    wrong = staticmethod(lambda obj: Surjection((1,)))
     monkeypatch.setattr(Shuffle, "from_json", wrong)
     with pytest.raises(CheckFailed) as failed:
         run_check(_check("encoding-roundtrips"), 3)
