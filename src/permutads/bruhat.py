@@ -9,20 +9,21 @@ of the two always holds, since nothing in between can equal i or i+1).
 
 Kind-1 covers are the moves that rotate a single edge of the underlying
 unlabelled binary tree; kind-2 covers permute the levels of two vertices
-that are not adjacent, leaving the tree untouched.  One breadth-first
-search, over covers of chosen kinds traversed in either direction, does
-every walk of the cover graph: it decides whether covers of one kind or
-both connect all permutations, certified by a spanning tree, and finds
-the admissible paths, kind-1 paths joining the two ends of a cover.
+that are not adjacent, leaving the tree untouched.  A :class:`Cover` is a
+named tuple, equal to its 4-tuple.  One breadth-first search, over covers
+of chosen kinds traversed in either direction, does every walk of the
+cover graph: it decides whether covers of one kind or both connect all
+permutations, certified by a spanning tree, and finds the admissible
+paths, kind-1 paths joining the two ends of a cover.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .surjections import inversions
+from .surjections import inverse, inversions
 
 
 def _check_word(word: tuple[int, ...]) -> None:
@@ -48,8 +49,7 @@ def coxeter_apply(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(swap.get(x, x) for x in word)
 
 
-@dataclass(frozen=True, order=True)
-class Cover:
+class Cover(NamedTuple):
     """A length-raising exchange of consecutive values, classified."""
 
     source: tuple[int, ...]
@@ -58,20 +58,8 @@ class Cover:
     kind: int
 
     def to_json(self) -> dict:
-        return {
-            "source": list(self.source),
-            "i": self.i,
-            "target": list(self.target),
-            "kind": self.kind,
-        }
-
-
-def cover_kind(word: tuple[int, ...], i: int) -> int:
-    """1 when all values between i and i+1 stay below i, else 2."""
-    p, q = word.index(i), word.index(i + 1)
-    if not p < q:
-        raise ValueError(f"{i} does not precede {i + 1} in {word!r}")
-    return 1 if all(word[j] < i for j in range(p + 1, q)) else 2
+        source, i, target, kind = self
+        return {"source": list(source), "i": i, "target": list(target), "kind": kind}
 
 
 def covers(word: tuple[int, ...]) -> list[Cover]:
@@ -81,12 +69,14 @@ def covers(word: tuple[int, ...]) -> list[Cover]:
     [2]
     """
     _check_word(word)
+    place = inverse(word)  # value i sits at place[i - 1], counting from 1
     out = []
     for i in range(1, len(word)):
-        if word.index(i) < word.index(i + 1):
-            out.append(
-                Cover(word, i, coxeter_apply(word, i), cover_kind(word, i))
-            )
+        p, q = place[i - 1], place[i]
+        if p < q:
+            between = word[p : q - 1]
+            target = word[: p - 1] + (i + 1,) + between + (i,) + word[q:]
+            out.append(Cover(word, i, target, 1 if max(between, default=0) < i else 2))
     return out
 
 
@@ -109,7 +99,7 @@ def tree_rotation_kind(word: tuple[int, ...], i: int) -> int:
     exchange of levels i and i+1 rotates an edge of that tree precisely
     when the vertex made at level i is a child of the one made at level
     i+1; otherwise the two merges commute and the tree is unchanged.
-    Independent of :func:`cover_kind`, and in agreement with it.
+    Independent of the value test in :func:`covers`, and in agreement with it.
     """
     p, q = word.index(i), word.index(i + 1)
     if not p < q:

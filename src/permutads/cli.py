@@ -13,14 +13,16 @@ exit code 1 and nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import sys
 
 from . import bruhat, chains
 from .derivations import NCPoly, asder_compose, asder_monomial
-from .linalg import csv_triples
+from .linalg import LinComb, csv_triples
 from .permutad import (
     DecoratedSurjection,
     PRESETS,
@@ -44,12 +46,15 @@ class DomainError(ValueError):
         self.payload = {"error": message, **fields}
 
 
+_encode = json.JSONEncoder(check_circular=False).encode  # json.dumps's bytes; rows are acyclic
+
+
 def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
+    sys.stdout.write(_encode(obj) + "\n")
 
 
 def _emit_error(obj: dict) -> None:
-    sys.stderr.write(json.dumps(obj) + "\n")
+    sys.stderr.write(_encode(obj) + "\n")
 
 
 def _env_cap() -> int | None:
@@ -62,16 +67,11 @@ def _env_cap() -> int | None:
         raise DomainError(f"PERMUTAD_MAX_N must be an integer, got {raw!r}")
 
 
-def _require_size(n: int, what: str) -> None:
-    cap = _env_cap()
+def _require_size(n: int, what: str, cap: int | None) -> None:
     cap = DEFAULT_BOUND if cap is None else cap
     if n > cap:
-        raise DomainError(
-            f"n={n} exceeds the {what} bound {cap};"
-            " set PERMUTAD_MAX_N to change the bound",
-            n=n,
-            bound=cap,
-        )
+        raise DomainError(f"n={n} exceeds the {what} bound {cap};"
+                          " set PERMUTAD_MAX_N to change the bound", n=n, bound=cap)
 
 
 def _ints(text: str, flag: str) -> tuple[int, ...]:
@@ -106,7 +106,7 @@ def _cell_json(t: Surjection) -> dict:
 
 
 def cmd_enum(args) -> int:
-    _require_size(args.n, "enumeration")
+    _require_size(args.n, "enumeration", _env_cap())
     ts = enumerate_surjections(args.n, args.k)
     if not ts:
         raise DomainError(f"no surjection of {args.n} inputs onto {args.k} levels", k=args.k)
@@ -127,36 +127,44 @@ _CODECS = {"surjection": Surjection, "shuffle": Shuffle,
 
 
 def _input_lines(path: str):
-    """The lines of the input file, or of stdin for "-", read one at a time."""
+    """The numbered lines of the input file, or of stdin for "-", decoded one at a
+    time, so a byte that is not UTF-8 is reported by line and offset.  As in text
+    mode, a file splits at LF, CR LF or CR, each read as LF, and stdin at LF."""
+    universal, lineno, offset = path != "-", 0, 0
     try:
-        if path == "-":
-            yield from sys.stdin
-            return
-        with open(path, encoding="utf-8") as handle:
-            yield from handle
+        with open(path, "rb") if universal else contextlib.nullcontext(sys.stdin.buffer) as handle:
+            for raw in handle:
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    lineno += 1 + (raw.count(b"\r", 0, exc.start) if universal else 0)
+                    raise DomainError(f"input line {lineno} is not UTF-8: {exc.reason}",
+                                      line=lineno, position=offset + exc.start)
+                offset += len(raw)
+                lines = io.StringIO(text, newline=None) if universal and "\r" in text else (text,)
+                for line in lines:
+                    lineno += 1
+                    yield lineno, line
     except OSError as exc:
         raise DomainError(f"cannot read input {path}: {exc.strerror}", path=path)
 
 
 def cmd_convert(args) -> int:
     parse, render = _CODECS[args.from_kind].from_json, _CODECS[args.to_kind].to_json
-    for lineno, line in enumerate(_input_lines(args.input), start=1):
+    cap = functools.cache(_env_cap)  # read at the first row, so never on empty input
+    for lineno, line in _input_lines(args.input):
         if not line.strip():
             continue
         try:
             t = parse(json.loads(line))
         except json.JSONDecodeError as exc:
-            raise DomainError(
-                f"malformed JSON on input line {lineno}: {exc.msg}",
-                line=lineno,
-                column=exc.colno,
-                position=exc.pos,
-            )
+            raise DomainError(f"malformed JSON on input line {lineno}: {exc.msg}",
+                              line=lineno, column=exc.colno, position=exc.pos)
         except RecursionError:
             raise DomainError(f"input line {lineno} is nested too deeply", line=lineno)
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"bad {args.from_kind} on input line {lineno}: {exc}")
-        _require_size(t.n, "conversion")
+        _require_size(t.n, "conversion", cap())
         _emit(render(t))
     return 0
 
@@ -174,11 +182,11 @@ def _boundary_cells(n: int, dim: int | None) -> list[Surjection]:
 
 
 def cmd_boundary(args) -> int:
-    _require_size(args.n, "complex")
+    _require_size(args.n, "complex", _env_cap())
     selected = _boundary_cells(args.n, args.dim)
     if args.format == "csv":
-        vectors = [chains.boundary_of_cell(t) for t in selected]
-        for line in csv_triples(vectors, key_str=Surjection.csv_key):
+        vectors = [LinComb({u: c for c, u in chains._facets(t.values, t.k)}) for t in selected]
+        for line in csv_triples(vectors, key_str=lambda values: "-".join(map(str, values))):
             sys.stdout.write(line + "\n")
         return 0
     for t in selected:
@@ -191,7 +199,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    _require_size(args.n, "complex")
+    _require_size(args.n, "complex", _env_cap())
     fv, betti = chains.homology(args.n)
     _emit({"n": args.n, "f_vector": list(fv), "betti": list(betti)})
     return 0
@@ -213,13 +221,13 @@ def cmd_bruhat(args) -> int:
             raise DomainError(f"--path wants an integer level, got {args.path[1]!r}")
         if args.n is not None and args.n != len(word):
             raise DomainError(f"--n {args.n} does not match a word of {len(word)} letters")
-        _require_size(len(word), "weak order")
+        _require_size(len(word), "weak order", _env_cap())
         path = bruhat.admissible_path(word, i)
         _emit({"path": [list(w) for w in path]})
         return 0
     if args.n is None:
         args.parser.error("--n is required unless --path is given")
-    _require_size(args.n, "weak order")
+    _require_size(args.n, "weak order", _env_cap())
     if args.check_connected:
         connected, _ = bruhat.cover_connected(args.n, kinds)
         edges = bruhat.cover_count(args.n, kinds)
@@ -241,7 +249,7 @@ def cmd_bruhat(args) -> int:
 
 def cmd_qnormalize(args) -> int:
     word = _ints(args.perm, "--perm")
-    _require_size(len(word), "normal form")
+    _require_size(len(word), "normal form", _env_cap())
     t = Surjection(word)
     if not t.is_permutation():
         raise DomainError(f"--perm wants a permutation word, got {list(word)}")
@@ -253,7 +261,7 @@ def cmd_qnormalize(args) -> int:
 def cmd_asder_compose(args) -> int:
     outer = _poly_arg(args.outer, "--outer")
     inner = _poly_arg(args.inner, "--inner")
-    _require_size(outer.nvars + inner.nvars - 1, "composition")
+    _require_size(outer.nvars + inner.nvars - 1, "composition", _env_cap())
     if args.shape is not None:
         shape = Surjection(_ints(args.shape, "--shape"))
     else:
@@ -264,13 +272,13 @@ def cmd_asder_compose(args) -> int:
 
 def cmd_asder_monomial(args) -> int:
     letters = _ints(args.letters, "--letters")
-    _require_size(args.n, "composition")
+    _require_size(args.n, "composition", _env_cap())
     _emit(asder_monomial(letters, args.n).to_json())
     return 0
 
 
 def cmd_permutad_dim(args) -> int:
-    _require_size(args.n, f"{args.preset} quotient")
+    _require_size(args.n, f"{args.preset} quotient", _env_cap())
     gens, relations = PRESETS[args.preset]()
     _emit(
         {

@@ -125,10 +125,6 @@ class Surjection:
     def is_permutation(self) -> bool:
         return self.k == self.n
 
-    def csv_key(self) -> str:
-        """Dash-joined values, the basis key used in CSV exports."""
-        return "-".join(str(v) for v in self.values)
-
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "values": list(self.values)}
 

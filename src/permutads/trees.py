@@ -19,7 +19,8 @@ Two nested-array renders are used for JSON:
   the same way.  So a run of gaps closing at one level becomes a single
   multi-input node, and gaps of one level with a higher gap between them
   give several nodes carrying the same level number, since one planar
-  vertex cannot span detached strands;
+  vertex cannot span detached strands.  So a render is canonical when each
+  child node sits below its parent, which the parser checks as it walks;
 * shuffle left combs draw as plain nested lists ``[[0, ...], ...]`` without
   level markers: vertex j of the comb (top vertex first) carries the label
   set L_j, and leaf 0 rides the topmost left edge.
@@ -90,8 +91,10 @@ def tree_from_nested(nested: Nested) -> Surjection:
     render is accepted, so a parsed tree draws back to its input.
     """
     gaps: list[int] = []  # gaps[i - 1] is the level of gap i
+    canonical = True
 
-    def walk(node: Nested) -> None:
+    def walk(node: Nested, above: float) -> None:
+        nonlocal canonical
         if type(node) is int:
             if node != len(gaps):
                 raise ValueError(f"leaves must read 0..n: expected {len(gaps)}, got {node}")
@@ -101,21 +104,22 @@ def tree_from_nested(nested: Nested) -> Surjection:
         level = node[0]
         if type(level) is not int or level < 1:
             raise ValueError(f"bad level marker in node: {node!r}")
+        canonical = canonical and level < above
         for i, child in enumerate(node[1:]):
             if i:
                 gaps.append(level)
             if type(child) is not int or child != len(gaps):
-                walk(child)  # a leaf out of order fails there
+                walk(child, level)  # a leaf out of order fails there
 
-    walk(nested)
+    walk(nested, float("inf"))
     k = max(gaps, default=0)
     if len(set(gaps)) != k:
         raise ValueError(f"tree levels {sorted(set(gaps))} skip a level below {k}")
-    # Positive integers onto 1..k, checked just above; the render refuses n = 0.
-    t = Surjection._of(tuple(gaps), k)
-    if tree_to_nested(t) != nested:
+    if not k:
+        raise ValueError("a leveled tree needs at least one gap")
+    if not canonical:
         raise ValueError(f"nested tree is not in canonical form: {nested!r}")
-    return t
+    return Surjection._of(tuple(gaps), k)  # positive levels onto 1..k, checked above
 
 
 class ShuffleLeftComb:
@@ -137,7 +141,8 @@ class ShuffleLeftComb:
             t = Surjection.from_blocks(tuple(map(tuple, obj["labels"])))
             if not t.n:
                 raise ValueError("a left comb needs at least one label")
-            if "nested" in obj and comb_from_nested(obj["nested"]) != t:
+            if "nested" in obj and _comb_levels(obj["nested"]) != t.blocks():
+                comb_from_nested(obj["nested"])  # a malformed render is refused first
                 raise ValueError("labels and nested render disagree")
             return t
         return comb_from_nested(obj["nested"])
@@ -153,6 +158,10 @@ def comb_to_nested(t: Surjection) -> Nested:
 
 
 def comb_from_nested(nested: Nested) -> Surjection:
+    return Surjection.from_blocks(_comb_levels(nested))
+
+
+def _comb_levels(nested: Nested) -> tuple[tuple[int, ...], ...]:  # top vertex first
     levels: list[tuple[int, ...]] = []
     node = nested
     while True:
@@ -167,7 +176,7 @@ def comb_from_nested(nested: Nested) -> Surjection:
                 raise ValueError(f"topmost left leaf must be 0, got {head}")
             break
         node = head
-    return Surjection.from_blocks(tuple(reversed(levels)))
+    return tuple(reversed(levels))
 
 
 def leaves_of(nested: Nested) -> list[int]:

@@ -545,11 +545,8 @@ def check_bruhat(max_n: int) -> None:
                 _fail(cover=c, note="kind mismatch")
     three = bruhat.cover_graph(3)
     type2 = [c for c in three if c.kind == 2]
-    if len(three) != 6 or len(type2) != 1:
-        _fail(covers=len(three), type2=len(type2))
-    pin = type2[0]
-    if (pin.source, pin.i, pin.target) != ((1, 3, 2), 1, (2, 3, 1)):
-        _fail(cover=pin)
+    if len(three) != 6 or type2 != [((1, 3, 2), 1, (2, 3, 1), 2)]:
+        _fail(covers=len(three), type2=type2)
     want_path = [(1, 3, 2), (1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1), (2, 3, 1)]
     if bruhat.admissible_path((1, 3, 2), 1) != want_path:
         _fail(path=bruhat.admissible_path((1, 3, 2), 1))

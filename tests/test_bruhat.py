@@ -13,7 +13,6 @@ from permutads.bruhat import (
     bruhat_dot,
     cover_connected,
     cover_graph,
-    cover_kind,
     covers,
     coxeter_apply,
     length,
@@ -39,10 +38,12 @@ def test_coxeter_apply_swaps_values():
 
 def test_cover_kind_pins():
     # Exchanging 1 and 2 across the larger value 3 leaves the tree alone.
-    assert cover_kind((1, 3, 2), 1) == 2
-    assert cover_kind((1, 2, 3), 1) == 1
+    assert {c.i: c.kind for c in covers((1, 3, 2))}[1] == 2
+    assert {c.i: c.kind for c in covers((1, 2, 3))}[1] == 1
+    # 2 precedes 1, so exchanging them lowers the length: no cover.
+    assert 1 not in {c.i for c in covers((2, 1, 3))}
     with pytest.raises(ValueError):
-        cover_kind((2, 1, 3), 1)
+        admissible_path((2, 1, 3), 1)
 
 
 def test_covers_of_identity():

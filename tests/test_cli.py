@@ -26,6 +26,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _stdin(text: str) -> io.TextIOWrapper:
+    """Stand-in stdin that, like the real one, reads bytes through ``.buffer``."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="\n")
+
+
 def test_enum_surjections_pin(capsys):
     code, out, err = run(capsys, "enum", "surjections", "--n", "3")
     assert code == 0 and err == ""
@@ -103,14 +108,14 @@ def test_convert_roundtrip_through_trees(capsys, monkeypatch):
     assert code == 0
     code, trees, _ = run(capsys, "enum", "trees", "--n", "3")
     assert code == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO(trees))
+    monkeypatch.setattr("sys.stdin", _stdin(trees))
     code, back, err = run(capsys, "convert", "--from", "tree", "--to", "surjection")
     assert code == 0 and err == ""
     assert back == surjections
 
 
 def test_convert_reports_malformed_json_position(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"values": [1, 2]}\n{oops\n'))
+    monkeypatch.setattr("sys.stdin", _stdin('{"values": [1, 2]}\n{oops\n'))
     code, out, err = run(capsys, "convert", "--from", "surjection", "--to", "comb")
     assert code == 1
     payload = json.loads(err)
@@ -122,7 +127,7 @@ def test_convert_reports_malformed_json_position(capsys, monkeypatch):
 
 def test_convert_reports_deep_nesting_as_a_domain_error(capsys, monkeypatch):
     deep = '{"nested": ' + "[1, 0, " * 5000 + "1" + "]" * 5000 + "}"
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"nested": [1, 0, 1]}\n' + deep + "\n"))
+    monkeypatch.setattr("sys.stdin", _stdin('{"nested": [1, 0, 1]}\n' + deep + "\n"))
     code, out, err = run(capsys, "convert", "--from", "tree", "--to", "surjection")
     assert code == 1
     assert out == '{"n": 1, "k": 1, "values": [1]}\n'
@@ -132,7 +137,7 @@ def test_convert_reports_deep_nesting_as_a_domain_error(capsys, monkeypatch):
 
 
 def test_convert_rejects_bad_items_with_line_numbers(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"values": [1, 3]}\n'))
+    monkeypatch.setattr("sys.stdin", _stdin('{"values": [1, 3]}\n'))
     code, out, err = run(capsys, "convert", "--from", "surjection", "--to", "tree")
     assert code == 1
     assert "input line 1" in json.loads(err)["error"]
@@ -148,14 +153,14 @@ def test_convert_rejects_bad_items_with_line_numbers(capsys, monkeypatch):
     ],
 )
 def test_convert_rejects_boolean_values(capsys, monkeypatch, line, to):
-    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    monkeypatch.setattr("sys.stdin", _stdin(line + "\n"))
     code, out, err = run(capsys, "convert", "--from", "surjection", "--to", to)
     assert code == 1 and out == ""
     assert "input line 1" in json.loads(err)["error"]
 
 
 def test_convert_rejects_negative_shuffle_block(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"blocks": [-1, 3], "perm": [1, 2]}\n'))
+    monkeypatch.setattr("sys.stdin", _stdin('{"blocks": [-1, 3], "perm": [1, 2]}\n'))
     code, out, err = run(capsys, "convert", "--from", "shuffle", "--to", "surjection")
     assert code == 1 and out == ""
     assert "input line 1" in json.loads(err)["error"]
@@ -166,7 +171,7 @@ def test_convert_rejects_negative_shuffle_block(capsys, monkeypatch):
     [("tree", '{"nested": [true, 0, 1]}'), ("comb", '{"nested": [[false, 1], 2]}')],
 )
 def test_convert_rejects_boolean_nested_renders(capsys, monkeypatch, kind, line):
-    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    monkeypatch.setattr("sys.stdin", _stdin(line + "\n"))
     code, out, err = run(capsys, "convert", "--from", kind, "--to", "surjection")
     assert code == 1 and out == ""
     assert "input line 1" in json.loads(err)["error"]
@@ -180,14 +185,14 @@ def test_convert_rejects_boolean_nested_renders(capsys, monkeypatch, kind, line)
     ],
 )
 def test_convert_rejects_boolean_nested_beside_levels(capsys, monkeypatch, kind, line):
-    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    monkeypatch.setattr("sys.stdin", _stdin(line + "\n"))
     code, out, err = run(capsys, "convert", "--from", kind, "--to", kind)
     assert code == 1 and out == ""
     assert "input line 1" in json.loads(err)["error"]
 
 
 def test_convert_rejects_non_canonical_nested_tree(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"nested": [1, 0, [1, 1, 2]]}\n'))
+    monkeypatch.setattr("sys.stdin", _stdin('{"nested": [1, 0, [1, 1, 2]]}\n'))
     code, out, err = run(capsys, "convert", "--from", "tree", "--to", "tree")
     assert code == 1 and out == ""
     assert "canonical" in json.loads(err)["error"]
@@ -207,7 +212,7 @@ NO_COMB = "a left comb needs at least one label"
 )
 def test_convert_rejects_empty_trees_and_combs(capsys, monkeypatch, kind, line, refusal):
     # A tree or comb has at least one input; the unit surjection has none.
-    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    monkeypatch.setattr("sys.stdin", _stdin(line + "\n"))
     code, out, err = run(capsys, "convert", "--from", kind, "--to", "surjection")
     assert code == 1 and out == ""
     assert err.count("\n") == 1
@@ -224,7 +229,7 @@ def test_convert_rejects_empty_trees_and_combs(capsys, monkeypatch, kind, line, 
     ],
 )
 def test_the_unit_surjection_renders_no_tree_and_no_comb(capsys, monkeypatch, argv, refusal):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"values": []}\n'))
+    monkeypatch.setattr("sys.stdin", _stdin('{"values": []}\n'))
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == json.dumps({"error": refusal}) + "\n"
@@ -247,6 +252,64 @@ def test_convert_reports_an_unreadable_input(capsys, tmp_path, name, reason):
         "error": f"cannot read input {path}: {os.strerror(reason)}",
         "path": path,
     }
+
+
+@pytest.mark.parametrize(
+    "source, end, position, rows",
+    [
+        pytest.param("file", "\n", 48000, 3000, id="file"),
+        pytest.param("file", "\r\n", 51000, 3000, id="file-crlf"),
+        # Bytes are read up to LF, so the bad byte is met before any row.
+        pytest.param("file", "\r", 48000, 0, id="file-cr"),
+        pytest.param("stdin", "\n", 48000, 3000, id="stdin"),
+    ],
+)
+def test_convert_reports_a_byte_that_is_not_utf8_by_line_and_offset(
+    capsys, monkeypatch, tmp_path, source, end, position, rows
+):
+    data = ('{"values": [1]}' + end).encode() * 3000 + b"\xff" + end.encode()
+    argv = ["convert", "--from", "surjection", "--to", "surjection"]
+    if source == "file":
+        (tmp_path / "rows.jsonl").write_bytes(data)
+        argv += ["--input", str(tmp_path / "rows.jsonl")]
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), newline="\n"))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == '{"n": 1, "k": 1, "values": [1]}\n' * rows
+    assert json.loads(err) == {
+        "error": "input line 3001 is not UTF-8: invalid start byte",
+        "line": 3001,
+        "position": position,
+    }
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_convert_splits_a_file_at_each_newline_of_text_mode(capsys, tmp_path, end):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(f'{{"values": [1, 2]}}{end}{end}{{"values": {end}'.encode())
+    code, out, err = run(
+        capsys, "convert", "--from", "surjection", "--to", "surjection", "--input", str(path)
+    )
+    assert code == 1 and out == '{"n": 2, "k": 2, "values": [1, 2]}\n'
+    assert json.loads(err) == {
+        "error": "malformed JSON on input line 3: Expecting value",
+        "line": 3,
+        "column": 1,
+        "position": 12,
+    }
+
+
+def test_convert_reads_the_env_cap_once_at_the_first_row(capsys, monkeypatch):
+    monkeypatch.setenv("PERMUTAD_MAX_N", "many")
+    monkeypatch.setattr("sys.stdin", _stdin("\n\n"))
+    assert run(capsys, "convert", "--from", "surjection", "--to", "tree") == (0, "", "")
+    reads = []
+    monkeypatch.setattr(cli, "_env_cap", functools.partial(reads.append, None))
+    monkeypatch.setattr("sys.stdin", _stdin('{"values": [1]}\n' * 3))
+    code, out, _ = run(capsys, "convert", "--from", "surjection", "--to", "surjection")
+    assert code == 0 and out.count("\n") == 3
+    assert reads == [None]
 
 
 def test_boundary_csv_golden(capsys):
@@ -689,7 +752,7 @@ _lines = _json.map(json.dumps) | st.text(max_size=12)
 def _holds_the_exit_contract(argv, stdin_text=""):
     """Exit 0 with an empty stderr, 1 with one JSON object on stderr, or 2."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(stdin_text)), mock.patch.dict(
+    with mock.patch.object(sys, "stdin", _stdin(stdin_text)), mock.patch.dict(
         os.environ
     ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         os.environ.pop("PERMUTAD_MAX_N", None)

@@ -6,9 +6,12 @@ every conversion between the four encodings of the n = 5 streams, the
 n = 5 boundaries in JSON and CSV, ``verify all --max-n 4``, and the n = 4
 weak order in each ``bruhat`` mode: the cover stream and the DOT graph,
 each with and without ``--type1-only``, the connectivity line, and one
-admissible path; and the ``permutad dim`` row of every preset at arities
-1..6.  A conversion reads the n = 5 enumeration of its source
-encoding.  A refactor that keeps these digests keeps the byte streams.
+admissible path; the ``permutad dim`` row of every preset at arities
+1..6; and the sizes the stream benchmark runs: the n = 6 and n = 7 cover
+streams, the n = 6 cells and boundary CSV, and the n = 6 trees converted
+to surjections.  A conversion reads the n = 5 enumeration of its source
+encoding unless its key names another source command after `` < ``.  A
+refactor that keeps these digests keeps the byte streams.
 """
 
 import contextlib
@@ -78,6 +81,11 @@ GOLDEN = {
     "bruhat --n 4 --dot --type1-only": "6167a2d4fc7a7d8f9d223543442bd3c69807d69999bd58237fd9ceb2ccb4bd8c",
     "bruhat --n 4 --check-connected": "2594a125998e150000a10fcd99e27571ec026e7ddfbb719262dbffff9598db4e",
     "bruhat --path 1,3,2,4 1": "48d685126584082b82194b6e6a323ce9fddcf0064913043b82b23c0ab1bba407",
+    "bruhat --n 6": "f35210dfffb977c8cabeb986effcae18266b1ba70cd4bd18d230a315ecb4a8f4",
+    "bruhat --n 7": "5946970028dcc74272fd5268dd1a111c5eaacc056061b697d5d5b43a713a3c11",
+    "boundary --n 6 --format csv": "dd00b0e6e79a62a7ce69dbca3d5e174c73aad927d8bb7dcc6eea723a670d0b50",
+    "enum cells --n 6": "6cb04d0be8c0c767af74f1032fe3247bcc6d3a1625cdd2b93a7ba1e24d0625cb",
+    "convert --from tree --to surjection < enum trees --n 6": "e6a99f7d522839f572d433f798a2a4f4c69170d424183c0b05e4635a80faf9b9",
     "permutad dim --preset permMag --n 1": "d29bf1cc4ab5c86971a235c3ff67903346a7329f40dc1b82c3adf86550f0f4be",
     "permutad dim --preset permMag --n 2": "802bed7b288aee66f7abd46a606e0d2bebf3dc0611b2f63d12388a474e14e044",
     "permutad dim --preset permMag --n 3": "fd34aeee5c44e5cbda3664c216a4bbb0ae3dadea09ec59346f4d89af720e4ec2",
@@ -112,10 +120,12 @@ def digest(text: str) -> str:
 
 
 def golden_output(command: str, tmp_path) -> str:
+    command, _, producer = command.partition(" < ")
     argv = command.split()
     if argv[0] == "convert":
         source = tmp_path / "input.jsonl"
-        source.write_text(stdout_of(["enum", ENCODINGS[argv[2]], "--n", "5"]))
+        producer = producer or f"enum {ENCODINGS[argv[2]]} --n 5"
+        source.write_text(stdout_of(producer.split()))
         argv += ["--input", str(source)]
     return stdout_of(argv)
 

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from permutads.cli import main
 from permutads.shuffles import sigma_of
 from permutads.surjections import (
     UNIT,
@@ -101,7 +102,12 @@ def test_basic_properties():
     assert t.blocks() == ((1, 3), (2,))
     assert t.preimage_sizes() == (2, 1)
     assert not t.is_permutation()
-    assert t.csv_key() == "1-2-1"
+
+
+def test_csv_stream_keys_a_cell_by_its_dashed_values(capsys):
+    # (1, 2, 1) is a facet of the top cell on three letters.
+    assert main(["boundary", "--n", "3", "--dim", "2", "--format", "csv"]) == 0
+    assert "0,1-2-1,-1" in capsys.readouterr().out.splitlines()
 
 
 def test_substitution_pin():
