@@ -14,16 +14,15 @@ degree additively, which makes the whole family of complexes a
 permutad in chain complexes; the interaction of substitution with the
 boundary is the graded Leibniz rule exercised by :func:`dg_leibniz_check`.
 
-For homology and d o d = 0 the cells of each dimension are numbered once,
-in the sorted order of :func:`~permutads.surjections.enumerate_surjections`,
-and each boundary is a row ``{facet index: sign}`` written from the cell's
-values: no ``Surjection`` is built and no ``LinComb`` hashed per facet.
-The sorted numbering keeps the low fill of highest-index pivoting in
-:func:`~permutads.linalg.pivot_keys`.  Homology walks the dimensions down
-with clearing (Chen and Kerber, "Persistent homology computation with a
-twist", 2011): a cell that leads a reduced boundary row of the dimension
-above gets no row, since that row is a cycle, so the cell's boundary lies
-in the span of the boundaries of lower-numbered cells: no rank changes.
+For homology and d o d = 0 a cell is its value tuple from
+:func:`~permutads.surjections._words`, and a row maps facets, by their
+values, to signs: lexicographic order on tuples is the sorted cells' order.
+Homology walks the dimensions down with clearing (Chen and Kerber,
+"Persistent homology computation with a twist", 2011): a cell that leads a
+reduced row of the dimension above gets no row, since its boundary lies in
+the span of those of lower cells.  A kept cell whose largest facet, its
+lead, is free claims it with no row built either, an emergent pair in the
+sense of Ripser (Bauer, 2021); through eight letters every lead is free.
 
 Degrees and arities are offset by one throughout the package: the
 complex built from surjections with source n - 1 sits in arity n, and
@@ -35,9 +34,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
-from .linalg import LinComb, linear_extend, pivot_keys
-from .surjections import Surjection, corolla, enumerate_surjections, substitute
+from .linalg import LinComb, _eliminate, linear_extend
+from .surjections import Surjection, _words, corolla, enumerate_surjections, substitute
 
 
 def cells(n: int) -> list[Surjection]:
@@ -52,9 +52,7 @@ def cells(n: int) -> list[Surjection]:
 
 
 def cells_of_dim(n: int, d: int) -> list[Surjection]:
-    if not 0 <= d <= n - 1:
-        return []
-    return enumerate_surjections(n, n - d)
+    return enumerate_surjections(n, n - d) if 0 <= d < n else []
 
 
 def f_vector(n: int) -> tuple[int, ...]:
@@ -65,7 +63,7 @@ def f_vector(n: int) -> tuple[int, ...]:
     >>> f_vector(4)
     (24, 36, 14, 1)
     """
-    return tuple(len(cells_of_dim(n, d)) for d in range(n))
+    return tuple(len(_words(n, n - d)) for d in range(n))
 
 
 @functools.cache
@@ -149,20 +147,43 @@ def chain_boundary(v: LinComb) -> LinComb:
     return linear_extend(boundary_of_cell, v)
 
 
-def _numbered_complex(n: int):
-    """Per dimension from 0: the sorted cells and their boundary rows.
+def _lead(values: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The largest facet: the first block j with two places raises all but its last
+    place to j + 1 and every level above j by one, at least any later block's at each place."""
+    j = next(j for j in range(1, k + 1) if values.count(j) > 1)
+    face = [v + 1 if v >= j else v for v in values]
+    face[len(values) - 1 - values[::-1].index(j)] = j
+    return tuple(face)
 
-    Row i maps each facet of cell i, by its index among the sorted cells
-    one dimension down, to its sign.
-    """
+
+def _leads(faces, k: int) -> set[tuple[int, ...]]:
+    """The pivot keys of these cells' boundaries onto 1..k: a free lead is claimed with
+    no row built, a taken one builds the cell's row and the row of each pivot it meets."""
+    claimed, rows = {}, {}  # lead -> the cell whose row is unbuilt, or the row
+    row_of = lambda values: {face: sign for sign, face in _facets(values, k)}
+    for values in faces:
+        lead = _lead(values, k)
+        if lead not in claimed and lead not in rows:
+            claimed[lead] = values
+            continue
+        row = row_of(values)
+        while (lead := _eliminate(row, rows)) in claimed:
+            rows[lead] = row_of(claimed.pop(lead))
+        if lead is not None:
+            rows[lead] = row
+    return claimed.keys() | rows.keys()
+
+
+def _numbered_complex(n: int):
+    """Per dimension from 0: the sorted cells, as values, and their rows,
+    each mapping a facet's index among the cells one dimension down to its sign."""
     if n < 1:
         raise ValueError(f"need at least one letter, got n={n}")
-    lower: list[Surjection] = []
-    for d in range(n):
-        faces = cells_of_dim(n, d)
-        index = {u.values: i for i, u in enumerate(lower)}
-        yield faces, [{index[u]: sign for sign, u in _facets(t.values, t.k)} for t in faces]
-        lower = faces
+    index: dict[tuple[int, ...], int] = {}
+    for k in range(n, 0, -1):
+        faces = _words(n, k)
+        yield faces, [{index[u]: sign for sign, u in _facets(t, k)} for t in faces]
+        index = {u: i for i, u in enumerate(faces)}
 
 
 def double_boundary_vanishes(n: int) -> bool:
@@ -183,26 +204,19 @@ def double_boundary_vanishes(n: int) -> bool:
 def homology(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The f-vector and the Betti numbers over the rationals, per dimension.
 
-    Walks down from the top cell, two dimensions of cells at a time: the
-    rank of d on the d-cells is the count of the pivot keys of the rows of
-    those that lead no reduced row one dimension up, cleared as the module
-    notes say.  A contractible polytope has Betti numbers (1, 0, .., 0).
+    Walks down from the top: the rank of d on the d-cells is the count of the
+    :func:`_leads` of those left uncleared.  A point has Betti numbers (1, 0, .., 0).
 
     >>> homology(3)
     ((6, 6, 1), (1, 0, 0))
     """
     if n < 1:
         raise ValueError(f"need at least one letter, got n={n}")
-    fv, ranks = [0] * n, [0] * (n + 1)
-    faces, cleared = cells_of_dim(n, n - 1), set()
+    fv, ranks, cleared = [math.factorial(n)] * n, [0] * (n + 1), set()  # fv[0]: n! vertices
     for d in range(n - 1, 0, -1):
-        lower = cells_of_dim(n, d - 1)
-        index = {u.values: i for i, u in enumerate(lower)}
-        kept = (t for i, t in enumerate(faces) if i not in cleared)
-        cleared = pivot_keys({index[u]: s for s, u in _facets(t.values, t.k)} for t in kept)
+        faces = _words(n, n - d)
+        cleared = _leads((t for t in faces if t not in cleared), n - d)
         fv[d], ranks[d] = len(faces), len(cleared)
-        faces = lower
-    fv[0] = len(faces)
     return tuple(fv), tuple(fv[d] - ranks[d] - ranks[d + 1] for d in range(n))
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
 import os
 import sys
@@ -128,23 +127,24 @@ _CODECS = {"surjection": Surjection, "shuffle": Shuffle,
 
 def _input_lines(path: str):
     """The numbered lines of the input file, or of stdin for "-", decoded one at a
-    time, so a byte that is not UTF-8 is reported by line and offset.  As in text
-    mode, a file splits at LF, CR LF or CR, each read as LF, and stdin at LF."""
-    universal, lineno, offset = path != "-", 0, 0
+    time, so a byte that is not UTF-8 is reported by line and offset.  A file is
+    read as Latin-1, one character per byte, so text mode splits it at LF, CR LF
+    or CR as the bytes arrive, each read as LF; stdin splits at LF."""
+    universal, offset = path != "-", 0
     try:
-        with open(path, "rb") if universal else contextlib.nullcontext(sys.stdin.buffer) as handle:
-            for raw in handle:
+        stdin = contextlib.nullcontext(sys.stdin.buffer)
+        with open(path, encoding="latin-1", newline="") if universal else stdin as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                raw = raw.encode("latin-1") if universal else raw
                 try:
                     text = raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    lineno += 1 + (raw.count(b"\r", 0, exc.start) if universal else 0)
                     raise DomainError(f"input line {lineno} is not UTF-8: {exc.reason}",
                                       line=lineno, position=offset + exc.start)
                 offset += len(raw)
-                lines = io.StringIO(text, newline=None) if universal and "\r" in text else (text,)
-                for line in lines:
-                    lineno += 1
-                    yield lineno, line
+                if universal and "\r" in text[-2:]:
+                    text = text.rstrip("\r\n") + "\n"
+                yield lineno, text
     except OSError as exc:
         raise DomainError(f"cannot read input {path}: {exc.strerror}", path=path)
 
@@ -185,7 +185,7 @@ def cmd_boundary(args) -> int:
     _require_size(args.n, "complex", _env_cap())
     selected = _boundary_cells(args.n, args.dim)
     if args.format == "csv":
-        vectors = [LinComb({u: c for c, u in chains._facets(t.values, t.k)}) for t in selected]
+        vectors = (LinComb({u: c for c, u in chains._facets(t.values, t.k)}) for t in selected)
         for line in csv_triples(vectors, key_str=lambda values: "-".join(map(str, values))):
             sys.stdout.write(line + "\n")
         return 0
@@ -237,9 +237,10 @@ def cmd_bruhat(args) -> int:
     if args.dot:
         sys.stdout.write(bruhat.bruhat_dot(args.n, kinds))
         return 0
-    for c in bruhat.cover_graph(args.n):
-        if c.kind in kinds:
-            _emit(c.to_json())
+    for word in bruhat.all_words(args.n):
+        for c in bruhat.covers(word):
+            if c.kind in kinds:
+                _emit(c.to_json())
     return 0
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -457,18 +457,18 @@ def _primitive_gcd(a: tuple, b: tuple) -> tuple:
     return (1,)
 
 
-def csv_triples(vectors: Iterable[LinComb], key_str: Callable = str) -> list[str]:
-    """Rows ``row,key,coeff`` for a family of vectors, one line per entry.
+def csv_triples(vectors: Iterable[LinComb], key_str: Callable = str) -> Iterator[str]:
+    """Rows ``row,key,coeff`` for a family of vectors, one line per entry,
+    each made as it is read.
 
     The row index is the position of the vector in the input; entries are
     emitted in basis-key order, so the output is reproducible byte for byte.
-    A key or coefficient whose text holds a comma raises ValueError.
+    A key or coefficient whose text holds a comma raises ValueError there.
     """
-    lines = ["row,key,coeff"]
+    yield "row,key,coeff"
     for i, v in enumerate(vectors):
         for k, c in v.terms():
             key = key_str(k)
             if "," in key or "," in str(c):
                 raise ValueError(f"a comma in key {key!r} or coefficient {c} splits the row")
-            lines.append(f"{i},{key},{c}")
-    return lines
+            yield f"{i},{key},{c}"

@@ -189,10 +189,8 @@ def substitute(t: Surjection, parts: tuple[Surjection, ...]) -> Surjection:
 def enumerate_surjections(n: int, k: int | None = None) -> list[Surjection]:
     """All surjections with n inputs, lexicographically sorted by values.
 
-    With k given, only the maps onto {1..k}; otherwise every target size.
-    The words are generated directly: positions are filled left to right,
-    and once the positions left are as few as the values not yet used, only
-    unused values may follow (Knuth, TAOCP 4A, 7.2.1.5).
+    With k given, only the maps onto {1..k}, built from :func:`_words`;
+    otherwise every target size.
 
     >>> [t.values for t in enumerate_surjections(2)]
     [(1, 1), (1, 2), (2, 1)]
@@ -207,16 +205,23 @@ def enumerate_surjections(n: int, k: int | None = None) -> list[Surjection]:
         ts = [t for kk in range(n + 1) for t in enumerate_surjections(n, kk)]
         ts.sort(key=lambda t: t.values)
         return ts
+    return [Surjection._of(values, k) for values in _words(n, k)]
+
+
+def _words(n: int, k: int) -> list[tuple[int, ...]]:
+    """The values of the surjections n ->> k in lexicographic order: positions
+    fill left to right, and once as few are left as values unused, only unused
+    values may follow (Knuth, TAOCP 4A, 7.2.1.5)."""
     if not 0 <= k <= n:
         return []
     word = [0] * n
     used = [False] * (k + 1)
-    out: list[Surjection] = []
+    out: list[tuple[int, ...]] = []
     targets = range(1, k + 1)
 
     def extend(i: int, owed: int) -> None:
         if i == n:
-            out.append(Surjection._of(tuple(word), k))
+            out.append(tuple(word))
             return
         forced = n - i == owed
         for v in targets:

@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 from permutads import chains
 from permutads.chains import (
     _facets,
+    _lead,
+    _leads,
     _numbered_complex,
     boundary_of_cell,
     boundary_of_top,
@@ -27,6 +29,7 @@ from permutads.shuffles import sigma_of
 from permutads.surjections import (
     Surjection,
     corolla,
+    _words,
     enumerate_surjections,
     inversions,
     substitute,
@@ -99,7 +102,8 @@ def test_numbered_rows_match_substitution(n):
     for faces, rows in _numbered_complex(n):
         assert faces == sorted(faces)
         for t, row in zip(faces, rows):
-            assert LinComb({lower[i]: c for i, c in row.items()}) == substitution_boundary(t), t
+            got = LinComb({Surjection(lower[i]): c for i, c in row.items()})
+            assert got == substitution_boundary(Surjection(t)), t
         lower = faces
 
 
@@ -171,25 +175,87 @@ def test_homology_of_a_point_at_seven_letters():
     assert homology_ranks(7) == (1, 0, 0, 0, 0, 0, 0)
 
 
+def full_row_homology(n):
+    """The homology of the clearing walk with every kept row built: cells
+    numbered per dimension, rows ``{facet index: sign}``, ranked by pivot_keys."""
+    fv, ranks = [0] * n, [0] * (n + 1)
+    faces, cleared = cells_of_dim(n, n - 1), set()
+    for d in range(n - 1, 0, -1):
+        lower = cells_of_dim(n, d - 1)
+        index = {u.values: i for i, u in enumerate(lower)}
+        kept = (t for i, t in enumerate(faces) if i not in cleared)
+        cleared = pivot_keys({index[u]: s for s, u in _facets(t.values, t.k)} for t in kept)
+        fv[d], ranks[d] = len(faces), len(cleared)
+        faces = lower
+    fv[0] = len(faces)
+    return tuple(fv), tuple(fv[d] - ranks[d] - ranks[d + 1] for d in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_homology_matches_the_full_row_walk(n):
+    assert homology(n) == full_row_homology(n)
+
+
+def pivot_facets(n, k):
+    """The pivot keys of the full rows of every cell onto 1..k: facets by values."""
+    return pivot_keys({u: s for s, u in _facets(t, k)} for t in _words(n, k))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_lead_is_the_largest_facet(n):
+    for k in range(1, n):
+        for t in _words(n, k):
+            assert _lead(t, k) == max(face for _, face in _facets(t, k)), t
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_colliding_leads_reduce_to_the_pivot_keys_of_every_row(n, monkeypatch):
+    # Without clearing, leads collide: the taken ones build rows and reduce.
+    built = []
+
+    def counted(values, k):
+        built.append(values)
+        return _facets(values, k)
+
+    monkeypatch.setattr(chains, "_facets", counted)
+    for k in range(1, n):
+        want = pivot_facets(n, k)
+        built.clear()
+        assert _leads(_words(n, k), k) == want
+        assert _leads(reversed(_words(n, k)), k) == want
+        assert built or k == 1, (n, k)
+
+
+def test_a_lead_taken_by_a_built_row_is_reduced_not_claimed(monkeypatch):
+    # b collides with a, building a's row; c then meets the built row on 3.
+    table = {"a": {3: 1, 1: 1}, "b": {3: 1, 2: 1}, "c": {3: 1}}
+    monkeypatch.setattr(chains, "_facets", lambda t, k: [(s, u) for u, s in table[t].items()])
+    monkeypatch.setattr(chains, "_lead", lambda t, k: max(table[t]))
+    want = pivot_keys(dict(row) for row in table.values())
+    assert want == {1, 2, 3}
+    assert _leads("abc", 1) == want
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_cleared_pivots_match_those_of_every_row(n, monkeypatch):
     # The leading keys of an echelon basis are those of its span, so clearing,
     # which keeps each span, keeps the pivot keys and the rank of every d.
     walked = []
 
-    def recorded(rows):
-        walked.append(pivot_keys(rows))
+    def recorded(faces, k):
+        walked.append(_leads(faces, k))
         return walked[-1]
 
-    monkeypatch.setattr(chains, "pivot_keys", recorded)
+    monkeypatch.setattr(chains, "_leads", recorded)
     homology(n)
-    every = [pivot_keys(rows) for _, rows in _numbered_complex(n)][:0:-1]
-    assert [len(keys) for keys in walked] == [len(keys) for keys in every]
-    assert walked == every
+    complexes = list(_numbered_complex(n))
+    every = [{lower[i] for i in pivot_keys(rows)}
+             for (lower, _), (_, rows) in zip(complexes, complexes[1:])]
+    assert walked == every[::-1]
 
 
-def test_homology_builds_rows_only_for_uncleared_cells(monkeypatch):
-    # 2,341 of the 4,683 cells on six letters: one row per unit of rank.
+def test_homology_builds_no_row_through_seven_letters(monkeypatch):
+    # Every kept cell's lead is free, so no boundary row is ever written.
     calls = []
 
     def counted(values, k):
@@ -197,8 +263,8 @@ def test_homology_builds_rows_only_for_uncleared_cells(monkeypatch):
         return _facets(values, k)
 
     monkeypatch.setattr(chains, "_facets", counted)
-    assert homology(6)[1] == (1, 0, 0, 0, 0, 0)
-    assert len(calls) == 2341
+    assert homology(7)[1] == (1, 0, 0, 0, 0, 0, 0)
+    assert calls == []
 
 
 def test_grafting_degree_and_shape():

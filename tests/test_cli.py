@@ -259,8 +259,7 @@ def test_convert_reports_an_unreadable_input(capsys, tmp_path, name, reason):
     [
         pytest.param("file", "\n", 48000, 3000, id="file"),
         pytest.param("file", "\r\n", 51000, 3000, id="file-crlf"),
-        # Bytes are read up to LF, so the bad byte is met before any row.
-        pytest.param("file", "\r", 48000, 0, id="file-cr"),
+        pytest.param("file", "\r", 48000, 3000, id="file-cr"),
         pytest.param("stdin", "\n", 48000, 3000, id="stdin"),
     ],
 )

@@ -267,7 +267,7 @@ def test_csv_triples_golden():
         LinComb({"1-2": Fraction(1), "2-1": Fraction(-1)}),
         LinComb({"1-1": QPoly.q() - QPoly.const(1)}),
     ]
-    assert csv_triples(vectors) == [
+    assert list(csv_triples(vectors)) == [
         "row,key,coeff",
         "0,1-2,1",
         "0,2-1,-1",
@@ -277,4 +277,4 @@ def test_csv_triples_golden():
 
 def test_csv_triples_refuses_a_comma_in_a_field():
     with pytest.raises(ValueError):
-        csv_triples([LinComb({"a,b": 1})])
+        list(csv_triples([LinComb({"a,b": 1})]))
