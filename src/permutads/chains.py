@@ -138,11 +138,6 @@ def boundary_of_cell(t: Surjection) -> LinComb:
     return LinComb({Surjection._of(face, k): sign for sign, face in _facets(t.values, t.k)})
 
 
-def boundary_of_top(n: int) -> LinComb:
-    """Boundary of the top cell; for n = 3 this is the oriented hexagon."""
-    return boundary_of_cell(corolla(n))
-
-
 def chain_boundary(v: LinComb) -> LinComb:
     return linear_extend(boundary_of_cell, v)
 
@@ -174,22 +169,15 @@ def _leads(faces, k: int) -> set[tuple[int, ...]]:
     return claimed.keys() | rows.keys()
 
 
-def _numbered_complex(n: int):
-    """Per dimension from 0: the sorted cells, as values, and their rows,
-    each mapping a facet's index among the cells one dimension down to its sign."""
+def double_boundary_vanishes(n: int) -> bool:
+    """Check d(d(c)) = 0 on every cell of the permutohedron on n letters; each
+    dimension's rows, built once, map a facet's index one dimension down to its sign."""
     if n < 1:
         raise ValueError(f"need at least one letter, got n={n}")
-    index: dict[tuple[int, ...], int] = {}
+    index, below = {}, []  # the cells one dimension down, by values, and their rows
     for k in range(n, 0, -1):
         faces = _words(n, k)
-        yield faces, [{index[u]: sign for sign, u in _facets(t, k)} for t in faces]
-        index = {u: i for i, u in enumerate(faces)}
-
-
-def double_boundary_vanishes(n: int) -> bool:
-    """Check d(d(c)) = 0 on every cell of the permutohedron on n letters."""
-    below: list[dict[int, int]] = []
-    for _, rows in _numbered_complex(n):
+        rows = [{index[u]: sign for sign, u in _facets(t, k)} for t in faces]
         for row in rows:
             dd: dict[int, int] = {}
             for i, sign in row.items():
@@ -197,7 +185,7 @@ def double_boundary_vanishes(n: int) -> bool:
                     dd[g] = dd.get(g, 0) + sign * c
             if any(dd.values()):
                 return False
-        below = rows
+        index, below = {u: i for i, u in enumerate(faces)}, rows
     return True
 
 
@@ -233,24 +221,14 @@ def homology_ranks(n: int) -> tuple[int, ...]:
 # Permutad structure on the family of complexes.
 
 
-def cell_circ_t(a: Surjection, b: Surjection, t: Surjection) -> Surjection:
-    """Graft cells a and b along a two-level shape, b at the first level.
-
-    a and b have sources m - 1 and n - 1 when the ambient arities are m
-    and n; t must then be a surjection (m + n - 2) ->> 2 whose first
-    level has n - 1 elements.  Degrees add.
-    """
-    if t.k != 2:
-        raise ValueError(f"grafting shape must have two levels, got {t.k}")
-    return substitute(t, (b, a))
-
-
 def chain_circ_t(a: LinComb, b: LinComb, t: Surjection) -> LinComb:
-    """Bilinear extension of :func:`cell_circ_t`."""
+    """Graft chains a and b along a two-level shape, bilinearly: cells a and b of
+    sources m - 1 and n - 1 (ambient arities m and n) graft along t: (m + n - 2) ->> 2
+    with n - 1 positions at level 1 as ``substitute(t, (b, a))``.  Degrees add."""
     out: dict = {}
     for ka, ca in a.terms():
         for kb, cb in b.terms():
-            key = cell_circ_t(ka, kb, t)
+            key = substitute(t, (kb, ka))
             out[key] = out.get(key, 0) + ca * cb
     return LinComb(out)
 
@@ -279,12 +257,9 @@ def dg_leibniz_check(m: int, n: int) -> bool:
         for a in cells(m - 1):
             da = boundary_of_cell(a)
             for b in cells(n - 1):
-                lhs = boundary_of_cell(cell_circ_t(a, b, shape))
-                rhs = chain_circ_t(
-                    LinComb.single(a), boundary_of_cell(b), shape
-                ) + chain_circ_t(da, LinComb.single(b), shape).scale(
-                    (-1) ** b.dim
-                )
+                lhs = boundary_of_cell(substitute(shape, (b, a)))
+                rhs = (chain_circ_t(LinComb.single(a), boundary_of_cell(b), shape)
+                       + chain_circ_t(da, LinComb.single(b), shape).scale((-1) ** b.dim))
                 if lhs != rhs:
                     return False
     return True

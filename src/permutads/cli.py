@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -83,16 +84,23 @@ def _ints(text: str, flag: str) -> tuple[int, ...]:
         raise DomainError(f"{flag} wants comma-separated integers, got {text!r}")
 
 
+def _from_object(parse, data):
+    """parse(data) for a JSON object; a ValueError names a non-object or a missing field."""
+    if type(data) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+
+
 def _poly_arg(text: str, flag: str) -> NCPoly:
     try:
-        return NCPoly.from_json(json.loads(text))
+        return _from_object(NCPoly.from_json, json.loads(text))
     except json.JSONDecodeError as exc:
-        raise DomainError(
-            f"malformed JSON for {flag}: {exc.msg}",
-            column=exc.colno,
-            position=exc.pos,
-        )
-    except (ValueError, KeyError, TypeError) as exc:
+        raise DomainError(f"malformed JSON for {flag}: {exc.msg}",
+                          column=exc.colno, position=exc.pos)
+    except (ValueError, TypeError) as exc:
         raise DomainError(f"bad polynomial for {flag}: {exc}")
 
 
@@ -126,25 +134,27 @@ _CODECS = {"surjection": Surjection, "shuffle": Shuffle,
 
 
 def _input_lines(path: str):
-    """The numbered lines of the input file, or of stdin for "-", decoded one at a
-    time, so a byte that is not UTF-8 is reported by line and offset.  A file is
-    read as Latin-1, one character per byte, so text mode splits it at LF, CR LF
-    or CR as the bytes arrive, each read as LF; stdin splits at LF."""
-    universal, offset = path != "-", 0
+    """The numbered lines of the input file, or of stdin for "-", decoded one at a time,
+    so a byte that is not UTF-8 is reported by line and offset.  Read as Latin-1, one
+    character per byte, text mode splits at LF, CR LF or CR as bytes arrive, each read as LF."""
+    offset = 0
     try:
-        stdin = contextlib.nullcontext(sys.stdin.buffer)
-        with open(path, encoding="latin-1", newline="") if universal else stdin as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                raw = raw.encode("latin-1") if universal else raw
-                try:
-                    text = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DomainError(f"input line {lineno} is not UTF-8: {exc.reason}",
-                                      line=lineno, position=offset + exc.start)
-                offset += len(raw)
-                if universal and "\r" in text[-2:]:
-                    text = text.rstrip("\r\n") + "\n"
-                yield lineno, text
+        with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as data:
+            handle = io.TextIOWrapper(data, "latin-1", newline="")
+            try:
+                for lineno, text in enumerate(handle, start=1):
+                    raw = text.encode("latin-1")
+                    try:
+                        text = raw.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise DomainError(f"input line {lineno} is not UTF-8: {exc.reason}",
+                                          line=lineno, position=offset + exc.start)
+                    offset += len(raw)
+                    if "\r" in text[-2:]:
+                        text = text.rstrip("\r\n") + "\n"
+                    yield lineno, text
+            finally:
+                handle.detach()  # leaves stdin open
     except OSError as exc:
         raise DomainError(f"cannot read input {path}: {exc.strerror}", path=path)
 
@@ -156,13 +166,13 @@ def cmd_convert(args) -> int:
         if not line.strip():
             continue
         try:
-            t = parse(json.loads(line))
+            t = _from_object(parse, json.loads(line))
         except json.JSONDecodeError as exc:
             raise DomainError(f"malformed JSON on input line {lineno}: {exc.msg}",
                               line=lineno, column=exc.colno, position=exc.pos)
         except RecursionError:
             raise DomainError(f"input line {lineno} is nested too deeply", line=lineno)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise DomainError(f"bad {args.from_kind} on input line {lineno}: {exc}")
         _require_size(t.n, "conversion", cap())
         _emit(render(t))

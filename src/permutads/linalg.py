@@ -229,10 +229,7 @@ class SpanBasis:
 
 
 def span_rank(vectors: Iterable[LinComb]) -> int:
-    """Exact rank of a family over the fraction field, Q or Q[q].
-
-    Keys are numbered once in sorted order, each vector becomes a row on
-    those numbers, and the rank is the count of their :func:`pivot_keys`.
+    """Exact rank of a family over the fraction field, Q or Q[q]: its :class:`SpanBasis`'s size.
 
     >>> span_rank([LinComb({1: 1, 2: -1}), LinComb({2: 1, 3: -1}),
     ...            LinComb({1: 1, 3: -1})])
@@ -241,25 +238,7 @@ def span_rank(vectors: Iterable[LinComb]) -> int:
     ...            LinComb({"a": QPoly.q(2), "b": QPoly.q()})])
     1
     """
-    vectors = list(vectors)
-    index = {k: i for i, k in enumerate(sorted({k for v in vectors for k in v.keys()}))}
-    return len(pivot_keys(_row({index[k]: c for k, c in v._terms.items()}) for v in vectors))
-
-
-def pivot_keys(rows: Iterable[dict]) -> set:
-    """The leading keys, one per rank, of rows already numbered, reduced in
-    place: ``{index: coeff}`` dicts with nonzero entries all in Z (ints) or
-    all in Z[q] (tuples of ints, the coefficient of q^i at i, last nonzero).
-
-    >>> sorted(pivot_keys([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}, {}]))
-    [1, 2]
-    """
-    pivots: dict[int, dict] = {}
-    for row in rows:
-        lead = _eliminate(row, pivots)
-        if lead is not None:
-            pivots[lead] = row
-    return set(pivots)
+    return SpanBasis(vectors).rank
 
 
 def _row(terms: dict) -> dict:

@@ -487,11 +487,11 @@ HEXAGON = {
 
 def check_boundary_pins() -> None:
     """Pinned boundaries: the oriented hexagon and the arity-three interval."""
-    hexagon = chains.boundary_of_top(3)
+    hexagon = chains.boundary_of_cell(corolla(3))
     want = LinComb({Surjection(v): c for v, c in HEXAGON.items()})
     if hexagon != want:
         _fail(got=hexagon, want=want)
-    interval = chains.boundary_of_top(2)
+    interval = chains.boundary_of_cell(corolla(2))
     want2 = LinComb({Surjection((2, 1)): 1, Surjection((1, 2)): -1})
     if interval != want2:
         _fail(got=interval, want=want2)

@@ -9,7 +9,7 @@ counterexample, so a failure here always names the offending object.
 import math
 
 from permutads.bruhat import Cover, admissible_path, cover_graph
-from permutads.chains import boundary_of_top, f_vector
+from permutads.chains import boundary_of_cell, f_vector
 from permutads.linalg import LinComb
 from permutads.permutad import (
     PRESETS,
@@ -19,7 +19,7 @@ from permutads.permutad import (
     qpermas_normalize,
     quotient_dim,
 )
-from permutads.surjections import Surjection
+from permutads.surjections import Surjection, corolla
 from permutads.verify import (
     HEXAGON,
     check_binary_arity_four,
@@ -49,11 +49,11 @@ def test_criterion_01_face_counts():
 
 
 def test_criterion_02_hexagon_and_interval_boundaries():
-    hexagon = boundary_of_top(3)
+    hexagon = boundary_of_cell(corolla(3))
     for values, coeff in HEXAGON.items():
         assert hexagon.get(Surjection(values)) == coeff
     assert hexagon == LinComb({Surjection(v): c for v, c in HEXAGON.items()})
-    assert boundary_of_top(2) == LinComb(
+    assert boundary_of_cell(corolla(2)) == LinComb(
         {Surjection((2, 1)): 1, Surjection((1, 2)): -1}
     )
     check_boundary_pins()

@@ -6,10 +6,7 @@ from permutads.chains import (
     _facets,
     _lead,
     _leads,
-    _numbered_complex,
     boundary_of_cell,
-    boundary_of_top,
-    cell_circ_t,
     cells,
     cells_of_dim,
     chain_boundary,
@@ -24,7 +21,7 @@ from permutads.chains import (
     skeleton_edges,
     splittings,
 )
-from permutads.linalg import LinComb, pivot_keys
+from permutads.linalg import LinComb, SpanBasis
 from permutads.shuffles import sigma_of
 from permutads.surjections import (
     Surjection,
@@ -98,10 +95,15 @@ def test_closed_form_boundary_matches_substitution(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_numbered_rows_match_substitution(n):
+    # Numbered as double_boundary_vanishes numbers them: each facet by its
+    # index among the sorted cells one dimension down.
     lower = []
-    for faces, rows in _numbered_complex(n):
+    for k in range(n, 0, -1):
+        faces = _words(n, k)
         assert faces == sorted(faces)
-        for t, row in zip(faces, rows):
+        index = {u: i for i, u in enumerate(lower)}
+        for t in faces:
+            row = {index[u]: c for c, u in _facets(t, k)}
             got = LinComb({Surjection(lower[i]): c for i, c in row.items()})
             assert got == substitution_boundary(Surjection(t)), t
         lower = faces
@@ -130,12 +132,12 @@ def test_hexagon():
             Surjection((2, 2, 1)): -1,
         }
     )
-    assert boundary_of_top(3) == want
+    assert boundary_of_cell(corolla(3)) == want
 
 
 def test_interval_boundary_orientation():
     # Target minus source of the one-cell on two letters.
-    assert boundary_of_top(2) == LinComb(
+    assert boundary_of_cell(corolla(2)) == LinComb(
         {Surjection((2, 1)): 1, Surjection((1, 2)): -1}
     )
 
@@ -148,6 +150,23 @@ def test_vertices_are_cycles():
 @given(st.integers(2, 5))
 def test_double_boundary(n):
     assert double_boundary_vanishes(n)
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_double_boundary_finds_a_flipped_sign(n, monkeypatch):
+    # One facet sign flipped, on the top cell or on the first edge, breaks
+    # d o d = 0: the top cell's rows meet those below, the edge's those above.
+    for k in (1, n - 1):
+        target = _words(n, k)[0]
+
+        def flipped(values, levels, target=target):
+            out = _facets(values, levels)
+            if values == target:
+                out[0] = (-out[0][0], out[0][1])
+            return out
+
+        monkeypatch.setattr(chains, "_facets", flipped)
+        assert not double_boundary_vanishes(n), (n, k)
 
 
 def test_chain_boundary_is_linear():
@@ -177,14 +196,15 @@ def test_homology_of_a_point_at_seven_letters():
 
 def full_row_homology(n):
     """The homology of the clearing walk with every kept row built: cells
-    numbered per dimension, rows ``{facet index: sign}``, ranked by pivot_keys."""
+    numbered per dimension, rows ``{facet index: sign}``, ranked by SpanBasis."""
     fv, ranks = [0] * n, [0] * (n + 1)
     faces, cleared = cells_of_dim(n, n - 1), set()
     for d in range(n - 1, 0, -1):
         lower = cells_of_dim(n, d - 1)
         index = {u.values: i for i, u in enumerate(lower)}
         kept = (t for i, t in enumerate(faces) if i not in cleared)
-        cleared = pivot_keys({index[u]: s for s, u in _facets(t.values, t.k)} for t in kept)
+        rows = (LinComb({index[u]: s for s, u in _facets(t.values, t.k)}) for t in kept)
+        cleared = set(SpanBasis(rows).pivots())
         fv[d], ranks[d] = len(faces), len(cleared)
         faces = lower
     fv[0] = len(faces)
@@ -198,7 +218,8 @@ def test_homology_matches_the_full_row_walk(n):
 
 def pivot_facets(n, k):
     """The pivot keys of the full rows of every cell onto 1..k: facets by values."""
-    return pivot_keys({u: s for s, u in _facets(t, k)} for t in _words(n, k))
+    rows = (LinComb({u: s for s, u in _facets(t, k)}) for t in _words(n, k))
+    return set(SpanBasis(rows).pivots())
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -231,7 +252,7 @@ def test_a_lead_taken_by_a_built_row_is_reduced_not_claimed(monkeypatch):
     table = {"a": {3: 1, 1: 1}, "b": {3: 1, 2: 1}, "c": {3: 1}}
     monkeypatch.setattr(chains, "_facets", lambda t, k: [(s, u) for u, s in table[t].items()])
     monkeypatch.setattr(chains, "_lead", lambda t, k: max(table[t]))
-    want = pivot_keys(dict(row) for row in table.values())
+    want = set(SpanBasis(map(LinComb, table.values())).pivots())
     assert want == {1, 2, 3}
     assert _leads("abc", 1) == want
 
@@ -248,10 +269,7 @@ def test_cleared_pivots_match_those_of_every_row(n, monkeypatch):
 
     monkeypatch.setattr(chains, "_leads", recorded)
     homology(n)
-    complexes = list(_numbered_complex(n))
-    every = [{lower[i] for i in pivot_keys(rows)}
-             for (lower, _), (_, rows) in zip(complexes, complexes[1:])]
-    assert walked == every[::-1]
+    assert walked == [pivot_facets(n, k) for k in range(1, n)]
 
 
 def test_homology_builds_no_row_through_seven_letters(monkeypatch):
@@ -273,12 +291,16 @@ def test_grafting_degree_and_shape():
     a = corolla(2)
     b = Surjection((1, 2))
     for t in shapes:
-        assert cell_circ_t(a, b, t).dim == a.dim + b.dim
+        ((cell, c),) = chain_circ_t(LinComb.single(a), LinComb.single(b), t).terms()
+        assert cell == substitute(t, (b, a)) and c == 1
+        assert cell.dim == a.dim + b.dim
 
 
 def test_cell_circ_rejects_deep_shapes():
+    # substitute wants one part per level, so a three-level shape is refused.
     with pytest.raises(ValueError):
-        cell_circ_t(corolla(2), corolla(2), Surjection((1, 2, 3, 1)))
+        chain_circ_t(LinComb.single(corolla(2)), LinComb.single(corolla(2)),
+                     Surjection((1, 2, 3, 1)))
 
 
 def test_chain_circ_is_bilinear():

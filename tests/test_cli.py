@@ -261,6 +261,8 @@ def test_convert_reports_an_unreadable_input(capsys, tmp_path, name, reason):
         pytest.param("file", "\r\n", 51000, 3000, id="file-crlf"),
         pytest.param("file", "\r", 48000, 3000, id="file-cr"),
         pytest.param("stdin", "\n", 48000, 3000, id="stdin"),
+        pytest.param("stdin", "\r\n", 51000, 3000, id="stdin-crlf"),
+        pytest.param("stdin", "\r", 48000, 3000, id="stdin-cr"),
     ],
 )
 def test_convert_reports_a_byte_that_is_not_utf8_by_line_and_offset(
@@ -281,6 +283,36 @@ def test_convert_reports_a_byte_that_is_not_utf8_by_line_and_offset(
         "line": 3001,
         "position": position,
     }
+
+
+@pytest.mark.parametrize("kind, field", [("surjection", "values"), ("shuffle", "blocks"),
+                                         ("tree", "nested"), ("comb", "nested")])
+@pytest.mark.parametrize("line, refusal", [
+    pytest.param("[1]", "expected a JSON object, got list", id="list"),
+    pytest.param("5", "expected a JSON object, got int", id="int"),
+    pytest.param("null", "expected a JSON object, got NoneType", id="null"),
+    pytest.param('"x"', "expected a JSON object, got str", id="str"),
+    pytest.param("{}", "missing field '{field}'", id="empty"),
+])
+def test_convert_names_a_row_that_is_not_an_object_or_lacks_a_field(
+    capsys, monkeypatch, kind, field, line, refusal
+):
+    monkeypatch.setattr("sys.stdin", _stdin(line + "\n"))
+    code, out, err = run(capsys, "convert", "--from", kind, "--to", "surjection")
+    assert code == 1 and out == ""
+    assert err == json.dumps(
+        {"error": f"bad {kind} on input line 1: " + refusal.format(field=field)}
+    ) + "\n"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_convert_splits_stdin_at_each_newline_of_text_mode(capsys, monkeypatch, end):
+    data = f'{{"values": [1]}}{end}{{"values": [1, 1]}}{end}'.encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), newline="\n"))
+    code, out, err = run(capsys, "convert", "--from", "surjection", "--to", "surjection")
+    assert (code, err) == (0, "")
+    assert out == '{"n": 1, "k": 1, "values": [1]}\n{"n": 2, "k": 1, "values": [1, 1]}\n'
+    assert not sys.stdin.buffer.closed
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
@@ -507,6 +539,28 @@ def test_asder_compose_rejects_malformed_polynomial(capsys):
     payload = json.loads(err)
     assert "--outer" in payload["error"]
     assert payload["column"] == 2
+
+
+@pytest.mark.parametrize(
+    "outer, inner, refusal",
+    [
+        pytest.param("[]", "{}", "bad polynomial for --outer: expected a JSON object, got list",
+                     id="list"),
+        pytest.param("null", "{}",
+                     "bad polynomial for --outer: expected a JSON object, got NoneType",
+                     id="null"),
+        pytest.param('{"vars": 1, "terms": []}', "{}",
+                     "bad polynomial for --inner: missing field 'vars'", id="missing"),
+    ],
+)
+def test_asder_compose_names_an_argument_that_is_not_an_object_or_lacks_a_field(
+    capsys, outer, inner, refusal
+):
+    code, out, err = run(
+        capsys, "asder", "compose", "--outer", outer, "--inner", inner, "--block", "1"
+    )
+    assert code == 1 and out == ""
+    assert err == json.dumps({"error": refusal}) + "\n"
 
 
 @pytest.mark.parametrize("outer", ['{"vars": 1}', "[1]"])

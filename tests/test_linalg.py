@@ -12,7 +12,6 @@ from permutads.linalg import (
     _gcd,
     _mul,
     csv_triples,
-    pivot_keys,
     span_rank,
 )
 from permutads.permutad import PRESETS, ideal_vectors, specialize
@@ -170,13 +169,13 @@ def test_span_rank_of_empty_and_zero_families():
 
 
 def test_rank_of_numbered_rows():
-    # Rows are consumed in place; empty rows count for nothing.
+    # Empty rows count for nothing.
     rows = [{0: 2, 1: -2}, {}, {1: 3, 2: -3}, {0: 1, 2: -1}, {2: 5}]
-    assert len(pivot_keys(rows)) == 3
-    # Z[q] entries are coefficient tuples: q is (0, 1).
-    assert len(pivot_keys([{0: (0, 1), 1: (1,)}, {0: (0, 0, 1), 1: (0, 1)}])) == 1
+    assert span_rank(map(LinComb, rows)) == 3
+    q, one = QPoly.q(), QPoly.const(1)
+    assert span_rank([LinComb({0: q, 1: one}), LinComb({0: QPoly.q(2), 1: q})]) == 1
     with pytest.raises(ValueError):
-        pivot_keys([{0: 1}, {0: (0, 1)}])
+        span_rank([LinComb({0: 1}), LinComb({0: q})])
 
 
 def test_qpermas_rank_at_minus_one():
