@@ -17,12 +17,14 @@ boundary is the graded Leibniz rule exercised by :func:`dg_leibniz_check`.
 For homology and d o d = 0 a cell is its value tuple from
 :func:`~permutads.surjections._words`, and a row maps facets, by their
 values, to signs: lexicographic order on tuples is the sorted cells' order.
-Homology walks the dimensions down with clearing (Chen and Kerber,
-"Persistent homology computation with a twist", 2011): a cell that leads a
-reduced row of the dimension above gets no row, since its boundary lies in
-the span of those of lower cells.  A kept cell whose largest facet, its
-lead, is free claims it with no row built either, an emergent pair in the
-sense of Ripser (Bauer, 2021); through eight letters every lead is free.
+Homology walks the dimensions down.  Each kept cell claims its largest
+facet, its lead, an emergent pair in the sense of Ripser (Bauer, 2021);
+distinct leads make the boundary rows triangular, so the rank is their
+count and no row is built.  By clearing (Chen and Kerber, "Persistent
+homology computation with a twist", 2011) the leads are not kept one
+dimension down, as each one's boundary lies in the span of those of lower
+cells.  Through nine letters no two kept cells share a lead; a shared one
+is refused.
 
 Degrees and arities are offset by one throughout the package: the
 complex built from surjections with source n - 1 sits in arity n, and
@@ -36,7 +38,7 @@ import functools
 import itertools
 import math
 
-from .linalg import LinComb, _eliminate, linear_extend
+from .linalg import LinComb, linear_extend
 from .surjections import Surjection, _words, corolla, enumerate_surjections, substitute
 
 
@@ -151,22 +153,16 @@ def _lead(values: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(face)
 
 
-def _leads(faces, k: int) -> set[tuple[int, ...]]:
-    """The pivot keys of these cells' boundaries onto 1..k: a free lead is claimed with
-    no row built, a taken one builds the cell's row and the row of each pivot it meets."""
-    claimed, rows = {}, {}  # lead -> the cell whose row is unbuilt, or the row
-    row_of = lambda values: {face: sign for sign, face in _facets(values, k)}
+def _leads(faces, k: int):
+    """The pivot keys of these cells' boundaries onto 1..k: each cell claims its lead,
+    with no row built.  Two cells claiming one lead raise ValueError naming both."""
+    claimed = {}  # lead -> the cell that claimed it
     for values in faces:
         lead = _lead(values, k)
-        if lead not in claimed and lead not in rows:
-            claimed[lead] = values
-            continue
-        row = row_of(values)
-        while (lead := _eliminate(row, rows)) in claimed:
-            rows[lead] = row_of(claimed.pop(lead))
-        if lead is not None:
-            rows[lead] = row
-    return claimed.keys() | rows.keys()
+        if lead in claimed:
+            raise ValueError(f"cells {claimed[lead]} and {values} share the lead {lead}")
+        claimed[lead] = values
+    return claimed.keys()
 
 
 def double_boundary_vanishes(n: int) -> bool:
@@ -193,7 +189,7 @@ def homology(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The f-vector and the Betti numbers over the rationals, per dimension.
 
     Walks down from the top: the rank of d on the d-cells is the count of the
-    :func:`_leads` of those left uncleared.  A point has Betti numbers (1, 0, .., 0).
+    distinct :func:`_leads` of those left uncleared.  A point has Betti numbers (1, 0, .., 0).
 
     >>> homology(3)
     ((6, 6, 1), (1, 0, 0))

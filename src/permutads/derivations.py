@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surjections import Surjection
+from .surjections import Surjection, json_list
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,8 @@ class NCPoly:
         """Inverse of :meth:`to_json`: an int variable count, words of int
         letters, coefficients as ints or strings ``p`` or ``p/q``."""
         nvars = data["vars"]
-        terms = tuple((tuple(t["word"]), _coefficient(t["coeff"])) for t in data["terms"])
+        terms = tuple((tuple(json_list(t, "word")), _coefficient(t["coeff"]))
+                      for t in json_list(data, "terms", dict))
         if type(nvars) is not int or any(type(a) is not int for w, _ in terms for a in w):
             raise ValueError("variable counts and letters must be integers")
         return NCPoly(nvars, terms)

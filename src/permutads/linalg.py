@@ -6,17 +6,17 @@ Ranks over Q[q] are ranks over its fraction field, found inside Z[q].
 
 A :class:`LinComb` maps hashable, totally ordered basis keys to nonzero
 coefficients.  Every rank and span reduces mutable ``{key: coeff}`` rows
-in place with one step, :func:`_eliminate`.  A vector becomes a row once,
-on entry, with its denominators cleared: a rational vector an integer row,
-a Q[q] vector a row over Z[q] with tuples of ints as entries; that scales
-it by a constant, so pivots and ranks are those over Q[q].  A step sets
-``row = a*row - b*pivot``, where a and b are the two leading entries
-divided by their gcd (``math.gcd`` over Z, :func:`_gcd` over Z[q]).  A row
-the step scaled, and every new pivot, is divided by its content, the gcd
-of its entries, so pivot rows are primitive and sizes stay near those of
-the inputs: fraction-free elimination in the manner of Bareiss, with the
-primitive parts of Collins and Brown's subresultant sequences.  Every
-step pivots on the highest key of the row it reduces.
+over Z[q], entries tuples of ints, in place with one step,
+:func:`_eliminate`.  A vector becomes a row once, on entry, with its
+denominators cleared, a rational vector's entries constant tuples; that
+scales it by a constant, so pivots and ranks are those over Q[q].  A step
+sets ``row = a*row - b*pivot``, where a and b are the two leading entries
+divided by their gcd, :func:`_gcd`.  A row the step scaled, and every new
+pivot, is divided by its content, the gcd of its entries, so pivot rows
+are primitive and sizes stay near those of the inputs: fraction-free
+elimination in the manner of Bareiss, with the primitive parts of Collins
+and Brown's subresultant sequences.  Every step pivots on the highest key
+of the row it reduces.
 """
 
 from __future__ import annotations
@@ -190,12 +190,13 @@ def linear_extend(fn: Callable, v: LinComb) -> LinComb:
 class SpanBasis:
     """Row-reduced span with one primitive pivot row per leading key.
 
-    Rows are reduced on their highest key.  All vectors of one basis share
-    a coefficient domain, Q or Q[q]; the stored rows are over Z or Z[q].
+    Rows are stored over Z[q], reduced on their highest key.  A basis records
+    its vectors' domain, Q or Q[q], refuses the other, and gives remainders in it.
     """
 
     def __init__(self, vectors: Iterable[LinComb] = ()) -> None:
         self._rows: dict = {}
+        self._qpoly = False  # whether the rows came from Q[q] vectors
         for v in vectors:
             self.add(v)
 
@@ -212,16 +213,18 @@ class SpanBasis:
         The remainder is a primitive multiple of the reduced vector, with
         integer or :class:`QPoly` coefficients.
         """
-        row = _row(v._terms)
+        row, qpoly = _row(v._terms)
+        if row and self._rows and qpoly is not self._qpoly:
+            raise ValueError("mixed coefficient domains")
         _eliminate(row, self._rows)
-        return LinComb({k: QPoly(c) if type(c) is tuple else c for k, c in row.items()})
+        return LinComb({k: QPoly(c) if qpoly else c[0] for k, c in row.items()})
 
     def add(self, v: LinComb) -> bool:
         """Adjoin a vector; True when it enlarges the span."""
         # Through reduce, so perfbench's traced remainders include stored rows.
-        row = _row(self.reduce(v)._terms)
+        row, qpoly = _row(self.reduce(v)._terms)
         if row:
-            self._rows[max(row)] = row
+            self._rows[max(row)], self._qpoly = row, qpoly
         return bool(row)
 
     def in_span(self, v: LinComb) -> bool:
@@ -241,102 +244,61 @@ def span_rank(vectors: Iterable[LinComb]) -> int:
     return SpanBasis(vectors).rank
 
 
-def _row(terms: dict) -> dict:
-    """A mutable row with denominators cleared: rationals become ints,
-    Q[q] entries tuples of ints."""
+def _row(terms: dict) -> tuple[dict, bool]:
+    """A mutable row over Z[q] with denominators cleared, a rational vector's
+    entries constants, and whether the vector was over Q[q]."""
     values = terms.values()
-    if any(isinstance(c, QPoly) for c in values):
-        if not all(isinstance(c, QPoly) for c in values):
-            raise ValueError("mixed coefficient domains")
-        scale = lcm(*(x.denominator for c in values for x in c.coeffs))
-        return {
-            i: tuple(x.numerator * (scale // x.denominator) for x in c.coeffs)
-            for i, c in terms.items()
-        }
-    scale = lcm(*(c.denominator for c in values))
-    return {i: c.numerator * (scale // c.denominator) for i, c in terms.items()}
+    qpoly = any(isinstance(c, QPoly) for c in values)
+    if qpoly and not all(isinstance(c, QPoly) for c in values):
+        raise ValueError("mixed coefficient domains")
+    coeffs = [c.coeffs for c in values] if qpoly else [(c,) for c in values]
+    scale = lcm(*(x.denominator for cs in coeffs for x in cs))
+    return {i: tuple(x.numerator * (scale // x.denominator) for x in cs)
+            for i, cs in zip(terms, coeffs)}, qpoly
 
 
 def _remove_content(row: dict) -> None:
     """Divide a nonzero row in place by the gcd of its entries."""
-    if type(next(iter(row.values()))) is int:
-        content = gcd(*row.values())
-        if content != 1:
-            for i, c in row.items():
-                row[i] = c // content
-        return
     content = _gcd(row.values())
     if content != (1,):
         for i, c in row.items():
             row[i] = _div(c, content)
 
 
-def _eliminate(row: dict, pivots: dict):
-    """Reduce a row in place against primitive pivot rows on its highest key.
+def _eliminate(row: dict, pivots: dict) -> None:
+    """Reduce a row in place against primitive pivot rows on its highest key,
+    until no pivot owns that key and the row is made primitive, or it is empty.
 
-    An integer gcd takes the sign of a, so a pivot led by -1 never scales
-    the row.  Returns the leading key once no pivot owns it, with the row
-    made primitive, or None when the row reduces to zero.
+    The gcd takes the sign of a's leading coefficient, so a pivot led by
+    -q^k never scales the row.
     """
-    if not row:
-        return None
-    domain = type(next(iter(row.values())))
-    if pivots and domain is not type(next(iter(next(iter(pivots.values())).values()))):
-        raise ValueError("mixed coefficient domains")
     while row:
         key = max(row)
         pivot = pivots.get(key)
         if pivot is None:
             _remove_content(row)
-            return key
-        if domain is tuple:
-            _step_zq(row, pivot, key)
-            continue
+            return
         a, b = pivot[key], row[key]
-        g = gcd(a, b) if a > 0 else -gcd(a, b)
-        a, b = a // g, b // g
-        if a != 1:
-            for i in row:
-                row[i] *= a
-        minus_b = -b
+        g = _gcd((a, b))
+        if a[-1] < 0:
+            g = tuple(-x for x in g)
+        if g != (1,):
+            a, b = _div(a, g), _div(b, g)
+        if a != (1,):
+            for i, c in row.items():
+                row[i] = _mul(c, a)
+        minus_b = tuple(-x for x in b)
         for i, c in pivot.items():
             if i in row:
-                c = row[i] - b * c
+                c = _sub(row[i], _mul(b, c))
                 if c:
                     row[i] = c
                 else:
                     del row[i]
             else:
-                row[i] = minus_b * c
-        if a != 1 and row:
+                row[i] = _mul(minus_b, c)
+        if a != (1,) and row:
             _remove_content(row)
-    return None
-
-
-def _step_zq(row: dict, pivot: dict, key) -> None:
-    """The step of :func:`_eliminate` over Z[q]: the gcd takes the sign of
-    a's leading coefficient, so a pivot led by -q^k never scales the row."""
-    a, b = pivot[key], row[key]
-    g = _gcd((a, b))
-    if a[-1] < 0:
-        g = tuple(-x for x in g)
-    if g != (1,):
-        a, b = _div(a, g), _div(b, g)
-    if a != (1,):
-        for i, c in row.items():
-            row[i] = _mul(c, a)
-    minus_b = tuple(-x for x in b)
-    for i, c in pivot.items():
-        if i in row:
-            c = _sub(row[i], _mul(b, c))
-            if c:
-                row[i] = c
-            else:
-                del row[i]
-        else:
-            row[i] = _mul(minus_b, c)
-    if a != (1,) and row:
-        _remove_content(row)
 
 
 # ---------------------------------------------------------------------------

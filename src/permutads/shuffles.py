@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from .surjections import Surjection
+from .surjections import Surjection, json_list
 
 
 def _cut(perm: tuple[int, ...], sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -54,7 +54,7 @@ class Shuffle:
 
     @staticmethod
     def from_json(obj: dict) -> Surjection:
-        blocks, perm = tuple(obj["blocks"]), tuple(obj["perm"])
+        blocks, perm = tuple(json_list(obj, "blocks")), tuple(json_list(obj, "perm"))
         if any(type(b) is not int for b in blocks):
             raise ValueError(f"block sizes must be integers, got {blocks}")
         pieces = _cut(perm, blocks)

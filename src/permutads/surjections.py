@@ -130,12 +130,25 @@ class Surjection:
 
     @staticmethod
     def from_json(obj: dict) -> "Surjection":
-        t = Surjection(tuple(obj["values"]))
+        t = Surjection(tuple(json_list(obj, "values")))
         if "n" in obj and (type(obj["n"]) is not int or obj["n"] != t.n):
             raise ValueError(f"declared n={obj['n']} but {t.n} values given")
         if "k" in obj and (type(obj["k"]) is not int or obj["k"] != t.k):
             raise ValueError(f"declared k={obj['k']} but values reach {t.k}")
         return t
+
+
+def json_list(obj: dict, field: str, entry: type | None = None) -> list:
+    """obj[field] if it is a list, with entries of the given type if one is named;
+    else a ValueError naming the field and the type it got."""
+    value = obj[field]
+    if type(value) is not list:
+        raise ValueError(f"expected a list for {field!r}, got {type(value).__name__}")
+    for x in value if entry else ():
+        if type(x) is not entry:
+            what = "a JSON object" if entry is dict else f"a {entry.__name__}"
+            raise ValueError(f"expected {what} for each of {field!r}, got {type(x).__name__}")
+    return value
 
 
 # ``_of`` sets a trusted value's fields by their slot descriptors.

@@ -32,7 +32,7 @@ condition on plain nested lists and reports the first offending vertex.
 
 from __future__ import annotations
 
-from .surjections import Surjection
+from .surjections import Surjection, json_list
 
 Nested = int | list
 
@@ -47,7 +47,8 @@ class LeveledTree:
     @staticmethod
     def from_json(obj: dict) -> Surjection:
         if "levels" in obj:
-            t = Surjection.from_blocks(tuple(map(tuple, map(sorted, obj["levels"]))))
+            levels = json_list(obj, "levels", list)
+            t = Surjection.from_blocks(tuple(map(tuple, map(sorted, levels))))
             if not t.n:
                 raise ValueError("a leveled tree needs at least one gap")
             if "nested" in obj and tree_from_nested(obj["nested"]) != t:
@@ -138,7 +139,7 @@ class ShuffleLeftComb:
     @staticmethod
     def from_json(obj: dict) -> Surjection:
         if "labels" in obj:
-            t = Surjection.from_blocks(tuple(map(tuple, obj["labels"])))
+            t = Surjection.from_blocks(tuple(map(tuple, json_list(obj, "labels", list))))
             if not t.n:
                 raise ValueError("a left comb needs at least one label")
             if "nested" in obj and _comb_levels(obj["nested"]) != t.blocks():

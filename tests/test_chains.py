@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -229,32 +231,30 @@ def test_lead_is_the_largest_facet(n):
             assert _lead(t, k) == max(face for _, face in _facets(t, k)), t
 
 
-@pytest.mark.parametrize("n", range(2, 6))
-def test_colliding_leads_reduce_to_the_pivot_keys_of_every_row(n, monkeypatch):
-    # Without clearing, leads collide: the taken ones build rows and reduce.
-    built = []
-
-    def counted(values, k):
-        built.append(values)
-        return _facets(values, k)
-
-    monkeypatch.setattr(chains, "_facets", counted)
-    for k in range(1, n):
-        want = pivot_facets(n, k)
-        built.clear()
-        assert _leads(_words(n, k), k) == want
-        assert _leads(reversed(_words(n, k)), k) == want
-        assert built or k == 1, (n, k)
+def _no_row(values, k):
+    pytest.fail(f"built the row of {values}")
 
 
-def test_a_lead_taken_by_a_built_row_is_reduced_not_claimed(monkeypatch):
-    # b collides with a, building a's row; c then meets the built row on 3.
+@pytest.mark.parametrize("n", range(3, 6))
+def test_colliding_leads_are_refused(n, monkeypatch):
+    # Without clearing, two cells of every dimension between the vertices and
+    # the top share a lead; the first such pair is named and no row is built.
+    monkeypatch.setattr(chains, "_facets", _no_row)
+    for k in range(2, n):
+        first = {}
+        a, b = next((first[_lead(t, k)], t) for t in _words(n, k)
+                    if first.setdefault(_lead(t, k), t) != t)
+        refusal = f"cells {a} and {b} share the lead {_lead(b, k)}"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            _leads(_words(n, k), k)
+
+
+def test_a_lead_two_cells_share_is_refused_not_reduced(monkeypatch):
     table = {"a": {3: 1, 1: 1}, "b": {3: 1, 2: 1}, "c": {3: 1}}
-    monkeypatch.setattr(chains, "_facets", lambda t, k: [(s, u) for u, s in table[t].items()])
+    monkeypatch.setattr(chains, "_facets", _no_row)
     monkeypatch.setattr(chains, "_lead", lambda t, k: max(table[t]))
-    want = set(SpanBasis(map(LinComb, table.values())).pivots())
-    assert want == {1, 2, 3}
-    assert _leads("abc", 1) == want
+    with pytest.raises(ValueError, match="^cells a and b share the lead 3$"):
+        _leads("abc", 1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -273,7 +273,7 @@ def test_cleared_pivots_match_those_of_every_row(n, monkeypatch):
 
 
 def test_homology_builds_no_row_through_seven_letters(monkeypatch):
-    # Every kept cell's lead is free, so no boundary row is ever written.
+    # Homology counts distinct leads and builds no boundary row.
     calls = []
 
     def counted(values, k):

@@ -305,6 +305,19 @@ def test_convert_names_a_row_that_is_not_an_object_or_lacks_a_field(
     ) + "\n"
 
 
+@pytest.mark.parametrize("kind, line, refusal", [
+    ("surjection", '{"values": 5}', "expected a list for 'values', got int"),
+    ("shuffle", '{"blocks": 5, "perm": []}', "expected a list for 'blocks', got int"),
+    ("tree", '{"levels": 5}', "expected a list for 'levels', got int"),
+    ("comb", '{"labels": [[1], 2]}', "expected a list for each of 'labels', got int"),
+])
+def test_convert_names_a_nested_field_of_the_wrong_type(capsys, monkeypatch, kind, line, refusal):
+    monkeypatch.setattr("sys.stdin", _stdin(line + "\n"))
+    code, out, err = run(capsys, "convert", "--from", kind, "--to", "surjection")
+    assert code == 1 and out == ""
+    assert err == json.dumps({"error": f"bad {kind} on input line 1: {refusal}"}) + "\n"
+
+
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_convert_splits_stdin_at_each_newline_of_text_mode(capsys, monkeypatch, end):
     data = f'{{"values": [1]}}{end}{{"values": [1, 1]}}{end}'.encode()
@@ -551,6 +564,11 @@ def test_asder_compose_rejects_malformed_polynomial(capsys):
                      id="null"),
         pytest.param('{"vars": 1, "terms": []}', "{}",
                      "bad polynomial for --inner: missing field 'vars'", id="missing"),
+        pytest.param('{"vars": 1, "terms": [5]}', "{}", "bad polynomial for --outer:"
+                     " expected a JSON object for each of 'terms', got int", id="term-int"),
+        pytest.param('{"vars": 1, "terms": [{"word": 3, "coeff": 1}]}', "{}",
+                     "bad polynomial for --outer: expected a list for 'word', got int",
+                     id="word-int"),
     ],
 )
 def test_asder_compose_names_an_argument_that_is_not_an_object_or_lacks_a_field(
