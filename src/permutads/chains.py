@@ -17,14 +17,18 @@ boundary is the graded Leibniz rule exercised by :func:`dg_leibniz_check`.
 For homology and d o d = 0 a cell is its value tuple from
 :func:`~permutads.surjections._words`, and a row maps facets, by their
 values, to signs: lexicographic order on tuples is the sorted cells' order.
-Homology walks the dimensions down.  Each kept cell claims its largest
-facet, its lead, an emergent pair in the sense of Ripser (Bauer, 2021);
-distinct leads make the boundary rows triangular, so the rank is their
-count and no row is built.  By clearing (Chen and Kerber, "Persistent
-homology computation with a twist", 2011) the leads are not kept one
-dimension down, as each one's boundary lies in the span of those of lower
-cells.  Through nine letters no two kept cells share a lead; a shared one
-is refused.
+Homology builds no row.  Call j a candidate of the cell B_1 | .. | B_k if
+B_1, .., B_j are singletons and the place in B_j is past every place of
+B_{j+1}.  Merging B_j with B_{j+1} gives the cell one dimension up whose
+largest facet, its lead, is this cell, with incidence +-1.  Matching each
+cell that has a candidate with the merge at its smallest one is a discrete
+Morse matching (Forman, "Morse theory for cell complexes", Adv. Math. 134,
+1998; Chari, "On discrete Morse functions and combinatorial
+decompositions", Discrete Math. 217, 2000): along a path of matched pairs
+each next facet lies below the last lead, so no path closes.  The one cell
+left unmatched is the vertex (1, .., n), so each complex is chain-homotopy
+equivalent over Z to a point, and the rank of d on the d-cells is the count
+of d-cells with no candidate.
 
 Degrees and arities are offset by one throughout the package: the
 complex built from surjections with source n - 1 sits in arity n, and
@@ -58,14 +62,19 @@ def cells_of_dim(n: int, d: int) -> list[Surjection]:
 
 
 def f_vector(n: int) -> tuple[int, ...]:
-    """Face counts per dimension, starting at dimension zero.
+    """Face counts per dimension, starting at dimension zero: k! S(n, k) cells
+    n ->> k, with the Stirling numbers S(m, k) = k S(m - 1, k) + S(m - 1, k - 1).
 
     >>> f_vector(3)
     (6, 6, 1)
     >>> f_vector(4)
     (24, 36, 14, 1)
     """
-    return tuple(len(_words(n, n - d)) for d in range(n))
+    stirling = [1]  # S(m, 0..m), from m = 0
+    for _ in range(n):
+        stirling = [0] + [k * s + below for k, (below, s) in
+                          enumerate(zip(stirling, stirling[1:] + [0]), start=1)]
+    return tuple(math.factorial(n - d) * stirling[n - d] for d in range(n))
 
 
 @functools.cache
@@ -147,22 +156,28 @@ def chain_boundary(v: LinComb) -> LinComb:
 def _lead(values: tuple[int, ...], k: int) -> tuple[int, ...]:
     """The largest facet: the first block j with two places raises all but its last
     place to j + 1 and every level above j by one, at least any later block's at each place."""
-    j = next(j for j in range(1, k + 1) if values.count(j) > 1)
+    j = 1
+    while values.count(j) == 1:
+        j += 1
     face = [v + 1 if v >= j else v for v in values]
     face[len(values) - 1 - values[::-1].index(j)] = j
     return tuple(face)
 
 
-def _leads(faces, k: int):
-    """The pivot keys of these cells' boundaries onto 1..k: each cell claims its lead,
-    with no row built.  Two cells claiming one lead raise ValueError naming both."""
-    claimed = {}  # lead -> the cell that claimed it
-    for values in faces:
-        lead = _lead(values, k)
-        if lead in claimed:
-            raise ValueError(f"cells {claimed[lead]} and {values} share the lead {lead}")
-        claimed[lead] = values
-    return claimed.keys()
+def _candidate(values: tuple[int, ...], k: int) -> int | None:
+    """The smallest j < k with B_1, .., B_j singletons and the place in B_j past
+    every place of B_{j+1}, or None: merging B_j with B_{j+1} then gives the
+    cell whose :func:`_lead` this is.
+
+    >>> _candidate((2, 1, 3), 3), _candidate((1, 3, 2), 3), _candidate((1, 2, 3), 3)
+    (1, 2, None)
+    """
+    for j in range(1, k):
+        if values.count(j) > 1:
+            return None
+        if j + 1 not in values[values.index(j):]:
+            return j
+    return None
 
 
 def double_boundary_vanishes(n: int) -> bool:
@@ -186,26 +201,30 @@ def double_boundary_vanishes(n: int) -> bool:
 
 
 def homology(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The f-vector and the Betti numbers over the rationals, per dimension.
+    """The f-vector and the Betti numbers, per dimension.
 
-    Walks down from the top: the rank of d on the d-cells is the count of the
-    distinct :func:`_leads` of those left uncleared.  A point has Betti numbers (1, 0, .., 0).
+    Each d-cell with no :func:`_candidate` is matched with its lead, and each
+    cell with one with the merge at it, by the discrete Morse matching of the
+    module docstring (Forman, 1998; Chari, 2000).  So the rank of d on the
+    d-cells is the count of d-cells with no candidate, over Z as over Q; the
+    ``homology-integral`` check proves the matching.  A point has Betti
+    numbers (1, 0, .., 0).
 
     >>> homology(3)
     ((6, 6, 1), (1, 0, 0))
     """
     if n < 1:
         raise ValueError(f"need at least one letter, got n={n}")
-    fv, ranks, cleared = [math.factorial(n)] * n, [0] * (n + 1), set()  # fv[0]: n! vertices
+    fv, ranks = [math.factorial(n)] * n, [0] * (n + 1)  # fv[0]: n! vertices
     for d in range(n - 1, 0, -1):
         faces = _words(n, n - d)
-        cleared = _leads((t for t in faces if t not in cleared), n - d)
-        fv[d], ranks[d] = len(faces), len(cleared)
+        fv[d] = len(faces)
+        ranks[d] = sum(1 for t in faces if _candidate(t, n - d) is None)
     return tuple(fv), tuple(fv[d] - ranks[d] - ranks[d + 1] for d in range(n))
 
 
 def homology_ranks(n: int) -> tuple[int, ...]:
-    """Betti numbers per dimension over the rationals; see :func:`homology`.
+    """Betti numbers per dimension; see :func:`homology`.
 
     >>> homology_ranks(3)
     (1, 0, 0)

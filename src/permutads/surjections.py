@@ -227,14 +227,23 @@ def _words(n: int, k: int) -> list[tuple[int, ...]]:
     values may follow (Knuth, TAOCP 4A, 7.2.1.5)."""
     if not 0 <= k <= n:
         return []
+    if n == 0:
+        return [()]
     word = [0] * n
     used = [False] * (k + 1)
     out: list[tuple[int, ...]] = []
     targets = range(1, k + 1)
 
     def extend(i: int, owed: int) -> None:
-        if i == n:
-            out.append(tuple(word))
+        if i == n - 1:
+            # One place left: the one unused value if any, else every value.
+            if owed:
+                word[i] = used.index(False, 1)
+                out.append(tuple(word))
+            else:
+                for v in targets:
+                    word[i] = v
+                    out.append(tuple(word))
             return
         forced = n - i == owed
         for v in targets:

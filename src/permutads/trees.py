@@ -48,6 +48,10 @@ class LeveledTree:
     def from_json(obj: dict) -> Surjection:
         if "levels" in obj:
             levels = json_list(obj, "levels", list)
+            for level in levels:
+                for x in level:
+                    if type(x) is not int:
+                        raise ValueError(f"expected an int in each of 'levels', got {type(x).__name__}")
             t = Surjection.from_blocks(tuple(map(tuple, map(sorted, levels))))
             if not t.n:
                 raise ValueError("a leveled tree needs at least one gap")

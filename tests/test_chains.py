@@ -1,13 +1,11 @@
-import re
-
 import pytest
 from hypothesis import given, strategies as st
 
-from permutads import chains
+from permutads import chains, verify
 from permutads.chains import (
+    _candidate,
     _facets,
     _lead,
-    _leads,
     boundary_of_cell,
     cells,
     cells_of_dim,
@@ -231,49 +229,82 @@ def test_lead_is_the_largest_facet(n):
             assert _lead(t, k) == max(face for _, face in _facets(t, k)), t
 
 
-def _no_row(values, k):
-    pytest.fail(f"built the row of {values}")
+def clearing_walk(n):
+    """The kept cells of each dimension onto 1..k, k = 1..n - 1, by clearing from
+    the top down: a cell is kept unless it is the lead of a kept cell one
+    dimension up, and the kept cells' leads are distinct."""
+    kept, cleared = {}, set()
+    for k in range(1, n):
+        kept[k] = [t for t in _words(n, k) if t not in cleared]
+        cleared = {_lead(t, k) for t in kept[k]}
+        assert len(cleared) == len(kept[k]), (n, k)
+    return kept
 
 
-@pytest.mark.parametrize("n", range(3, 6))
-def test_colliding_leads_are_refused(n, monkeypatch):
-    # Without clearing, two cells of every dimension between the vertices and
-    # the top share a lead; the first such pair is named and no row is built.
-    monkeypatch.setattr(chains, "_facets", _no_row)
-    for k in range(2, n):
-        first = {}
-        a, b = next((first[_lead(t, k)], t) for t in _words(n, k)
-                    if first.setdefault(_lead(t, k), t) != t)
-        refusal = f"cells {a} and {b} share the lead {_lead(b, k)}"
-        with pytest.raises(ValueError, match=re.escape(refusal)):
-            _leads(_words(n, k), k)
-
-
-def test_a_lead_two_cells_share_is_refused_not_reduced(monkeypatch):
-    table = {"a": {3: 1, 1: 1}, "b": {3: 1, 2: 1}, "c": {3: 1}}
-    monkeypatch.setattr(chains, "_facets", _no_row)
-    monkeypatch.setattr(chains, "_lead", lambda t, k: max(table[t]))
-    with pytest.raises(ValueError, match="^cells a and b share the lead 3$"):
-        _leads("abc", 1)
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_cleared_pivots_match_those_of_every_row(n, monkeypatch):
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cleared_pivots_match_those_of_every_row(n):
     # The leading keys of an echelon basis are those of its span, so clearing,
-    # which keeps each span, keeps the pivot keys and the rank of every d.
-    walked = []
+    # which keeps each span, keeps the pivot keys and the rank of every d; the
+    # cells the walk keeps are those with no candidate.
+    for k, kept in clearing_walk(n).items():
+        assert kept == [t for t in _words(n, k) if _candidate(t, k) is None], (n, k)
+        assert {_lead(t, k) for t in kept} == pivot_facets(n, k), (n, k)
 
-    def recorded(faces, k):
-        walked.append(_leads(faces, k))
-        return walked[-1]
 
-    monkeypatch.setattr(chains, "_leads", recorded)
-    homology(n)
-    assert walked == [pivot_facets(n, k) for k in range(1, n)]
+def integral_witness(**witness):
+    check = next(c for c in verify.CHECKS if c.name == "homology-integral")
+    with pytest.raises(verify.CheckFailed) as failed:
+        verify.run_check(check, 4)
+    assert failed.value.witness == {"check": "homology-integral", **witness}
+
+
+def test_homology_integral_names_a_second_critical_vertex(monkeypatch):
+    monkeypatch.setattr(chains, "_candidate", lambda values, k: None)
+    integral_witness(n=2, cell=[2, 1], note="a vertex other than (1, .., n) has no candidate")
+
+
+def test_homology_integral_names_a_merge_with_a_candidate(monkeypatch):
+    # At the largest candidate of (3, 2, 1) the merge keeps the smaller one.
+    def largest(values, k):
+        found = None
+        for j in range(1, k):
+            if values.count(j) > 1:
+                break
+            if j + 1 not in values[values.index(j):]:
+                found = j
+        return found
+
+    monkeypatch.setattr(chains, "_candidate", largest)
+    integral_witness(n=3, cell=[3, 2, 1], candidate=2, merge=[2, 2, 1],
+                     note="the merge has a candidate")
+
+
+def test_homology_integral_names_a_merge_that_leads_elsewhere(monkeypatch):
+    real = chains._lead
+    monkeypatch.setattr(chains, "_lead", lambda values, k:
+                        (1, 2, 3) if values == (1, 2, 2) else real(values, k))
+    integral_witness(n=3, cell=[1, 3, 2], candidate=2, merge=[1, 2, 2], lead=[1, 2, 3],
+                     note="the merge leads elsewhere")
+
+
+def test_homology_integral_names_a_lead_matched_elsewhere(monkeypatch):
+    real = chains._candidate
+    monkeypatch.setattr(chains, "_candidate", lambda values, k:
+                        None if values == (2, 2, 1) else real(values, k))
+    integral_witness(n=3, cell=[2, 2, 1], lead=[3, 2, 1], candidate=1,
+                     note="the lead is not matched with this cell")
+
+
+def test_homology_integral_names_a_lead_below_the_largest_facet(monkeypatch):
+    real = chains._facets
+    monkeypatch.setattr(chains, "_facets", lambda values, k:
+                        real(values, k) + [(1, (9,) * len(values))])
+    integral_witness(n=2, cell=[1, 1], lead=[2, 1], largest=[9, 9],
+                     note="the lead is not the largest facet")
 
 
 def test_homology_builds_no_row_through_seven_letters(monkeypatch):
-    # Homology counts distinct leads and builds no boundary row.
+    # Homology counts the cells with no candidate and builds no boundary row.
     calls = []
 
     def counted(values, k):

@@ -310,6 +310,8 @@ def test_convert_names_a_row_that_is_not_an_object_or_lacks_a_field(
     ("shuffle", '{"blocks": 5, "perm": []}', "expected a list for 'blocks', got int"),
     ("tree", '{"levels": 5}', "expected a list for 'levels', got int"),
     ("comb", '{"labels": [[1], 2]}', "expected a list for each of 'labels', got int"),
+    ("tree", '{"levels": [[1, "a"]]}', "expected an int in each of 'levels', got str"),
+    ("tree", '{"levels": [[1, null]]}', "expected an int in each of 'levels', got NoneType"),
 ])
 def test_convert_names_a_nested_field_of_the_wrong_type(capsys, monkeypatch, kind, line, refusal):
     monkeypatch.setattr("sys.stdin", _stdin(line + "\n"))
@@ -683,7 +685,7 @@ def test_verify_refuses_an_env_ceiling_below_one(capsys, monkeypatch):
 
 
 # stdout of ``verify all`` with PERMUTAD_MAX_N=3: every sized check at 3.
-ENV_THREE_DIGEST = "23087970e6ce7db8815abb4315d44c9c9600a311bd2a5b1d373d8762067b104c"
+ENV_THREE_DIGEST = "3ca6f23155fb2851835e15e05a0d020cefa27b7c28f5698d118449ab07e61c95"
 
 
 @pytest.mark.parametrize("flags", [[], ["--max-n", "99"]], ids=["default", "max-n-99"])

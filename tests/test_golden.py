@@ -74,7 +74,7 @@ GOLDEN = {
     "convert --from comb --to comb": "db8cd99e2c27ff2cd36c5f5696d2081d739b4810a1743a4457885d0151a6c156",
     "boundary --n 5 --format json": "52ece29f5d2ad009e31ae87dd7184428616065e518cc45cc6a79026444fbea61",
     "boundary --n 5 --format csv": "f18bb19dad699d956cbf8cf1d286ca131fca585344509a9e3e5d9d27234dae0f",
-    "verify all --max-n 4": "b0c7c14d8030be613293d04fb59a7997d07596a9cec530a526c33796bc7d9bf6",
+    "verify all --max-n 4": "8e24189248a7536698c17bf5f520c3f90330de627b970baf53f263144dc66522",
     "bruhat --n 4": "2d20b4a087f281e0b0cc4d0c89b3ddf426d84ee707b747580562aa84d021816c",
     "bruhat --n 4 --type1-only": "d079e8fd5379df536d7f5170c4fe674adf129c444abbddb7422b878bbedf6ccd",
     "bruhat --n 4 --dot": "a66c33244415dad6641c4e25caa410f3180b3934ebb2d7c803f94c085b33774b",

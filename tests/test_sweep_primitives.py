@@ -287,6 +287,7 @@ def test_encoding_roundtrips_catches_a_planted_sigma_fault(monkeypatch):
         ("sequential-composition", 9),
         ("skeleton-covers", 7),
         ("homology-contractible", 8),
+        ("homology-integral", 8),
     ],
 )
 def test_raised_caps_pass_at_the_cap(name, cap):
